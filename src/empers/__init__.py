@@ -42,7 +42,6 @@ from .persistence import (
     FiltrationOptions,
     GrayImage,
     image_sublevel_h0,
-    reduce_boundary_matrix,
     vr_persistence,
 )
 from .samplers import (

@@ -108,11 +108,15 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_distance(args) -> int:
+    cfg = None
+    if args.q is not None:
+        try:
+            cfg = MetricConfig(math.inf if args.q == "inf" else float(args.q))
+        except ValueError as exc:
+            raise ConfigError(f"--q {args.q}: {exc}") from None
     mu, cfg_a = io.read_measure_json(args.measure_a)
     nu, cfg_b = io.read_measure_json(args.measure_b)
-    if args.q is not None:
-        cfg = MetricConfig(math.inf if args.q == "inf" else float(args.q))
-    else:
+    if cfg is None:
         if cfg_a.q != cfg_b.q:
             raise DataError(f"measure files disagree on q ({cfg_a.q} vs {cfg_b.q}); "
                             "pass --q explicitly")
@@ -129,6 +133,14 @@ def cmd_distance(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
+    if any(not eps > 0 for eps in args.eps):
+        raise ConfigError(f"--eps values must be positive, got {args.eps}")
+    try:
+        thresholds = json.loads(args.thresholds) if args.thresholds else None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"--thresholds is not valid JSON: {exc}") from None
+    if thresholds is not None and not isinstance(thresholds, dict):
+        raise ConfigError("--thresholds must be a JSON object")
     measure_dir = args.measures
     files = sorted(measure_dir.glob("*.json"))
     if not files:
@@ -140,7 +152,6 @@ def cmd_diagnose(args) -> int:
         cfgs.append(cfg)
     if len({c.q for c in cfgs}) > 1:
         raise DataError("measure files disagree on q")
-    thresholds = json.loads(args.thresholds) if args.thresholds else None
     report = build_report(family, eps_list=args.eps, n_list=args.bands,
                           cfg=cfgs[0], thresholds=thresholds)
     text = json.dumps(report.to_jsonable(), indent=1, sort_keys=True)

@@ -64,10 +64,25 @@ def parse_artifact_name(name: str) -> tuple[str, int, int, Optional[int]]:
     return label, int(parts[-2]), int(parts[-1]), degree
 
 
+def _clear_stage_dir(out_dir: Path, diagrams: bool) -> None:
+    """Create ``out_dir`` and delete the clouds (or, with ``diagrams``, the
+    diagrams) an earlier run left there: the next stage globs the directory,
+    so stale files would join this run's. Other files stay."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path in out_dir.glob("*.csv"):
+        try:
+            degree = parse_artifact_name(path.name)[3]
+        except ValueError:
+            continue
+        if (degree is not None) == diagrams:
+            path.unlink()
+
+
 def stage_sample(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     """One point-cloud CSV per (class, instance, repeat), deterministically
-    seeded from the master seed."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    seeded from the master seed. Clouds of an earlier run in ``out_dir`` are
+    deleted first."""
+    _clear_stage_dir(out_dir, diagrams=False)
     outputs = []
     for class_idx, shape in enumerate(cfg.shapes):
         for instance in range(shape.instances):
@@ -107,8 +122,9 @@ def _diagram_task(args: tuple[str, str, tuple[int, ...], str, Optional[float]]) 
 
 def stage_diagrams(in_dir: Path, cfg: ExperimentConfig, out_dir: Path,
                    jobs: int = 1) -> list[Path]:
-    """Vietoris-Rips diagrams for every cloud in ``in_dir``, per degree."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Vietoris-Rips diagrams for every cloud in ``in_dir``, per degree.
+    Diagrams of an earlier run in ``out_dir`` are deleted first."""
+    _clear_stage_dir(out_dir, diagrams=True)
     clouds = sorted(in_dir.glob("*.csv"))
     tasks = [(str(p), str(out_dir), tuple(cfg.homology_degrees),
               cfg.essential_policy, cfg.max_radius) for p in clouds]

@@ -1,20 +1,34 @@
 """Persistent homology: Vietoris-Rips H0/H1 and sublevel-set H0 of images.
 
-Vietoris-Rips diagrams are computed from a distance matrix by the standard
-boundary-matrix column reduction over the two-element field. Simplices are
-ordered by (filtration value, dimension, lexicographic vertex tuple), which
-makes diagrams reproducible across runs; the output multiset is independent
-of the input point order. Image diagrams use a union-find sweep with the
-elder rule. Essential classes are finitized per ``essential_policy``: capped
-at the enclosing radius (or the global max intensity for images), or
-dropped.
+Vietoris-Rips simplices are totally ordered by (filtration value, dimension,
+lexicographic vertex tuple), which makes diagrams reproducible across runs;
+the output multiset is independent of the input point order.
+
+- H0 is a Kruskal sweep: the edges in that order go through a union-find,
+  and an edge that joins two components is the death of one of them.
+- H1 reduces edge coboundaries over the two-element field (Bauer, "Ripser",
+  2021). Columns are the edges in reverse order and the pivot of a column is
+  its earliest cofacet triangle. Clearing skips the H0 death edges, whose
+  columns reduce to zero. An edge that is the latest facet of its earliest
+  cofacet forms an apparent pair with it and is paired without reduction;
+  its column is built only if another column reaches that pivot. By the
+  duality of persistent homology and cohomology (de Silva, Morozov and
+  Vejdemo-Johansson, 2011) the pairs are those of the boundary reduction of
+  the full simplex list.
+
+Points are listed in a pinned order: per degree, the finite points ordered
+by the position of their death simplex, then the capped essential classes
+ordered by the position of their birth simplex. Downstream float sums, and
+hence the artifacts, depend on this order.
+
+Image diagrams use a union-find sweep with the elder rule. Essential classes
+are finitized per ``essential_policy``: capped at the enclosing radius (or
+the global max intensity for images), or dropped.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -99,96 +113,130 @@ class FiltrationOptions:
             raise ValueError("max_radius must be positive")
 
 
-def reduce_boundary_matrix(columns: Sequence[Iterable[int]]) -> tuple[list[set[int]], list[tuple[int, int]]]:
-    """Left-to-right column reduction over the two-element field.
-
-    ``columns[j]`` holds the row indices of the boundary of simplex j, all of
-    which must be < j (simplices in filtration order). Returns the reduced
-    columns and the pairing (low, j) for every column whose reduced form is
-    non-empty; each low index appears at most once.
-    """
-    reduced: list[int] = []
-    pivot: dict[int, int] = {}
-    pairs: list[tuple[int, int]] = []
-    for j, rows in enumerate(columns):
-        col = 0
-        for r in rows:
-            if not (0 <= r < j):
-                raise ValueError(f"column {j} references row {r}; boundaries must point backwards")
-            col ^= 1 << r
-        while col:
-            low = col.bit_length() - 1
-            other = pivot.get(low)
-            if other is None:
-                pivot[low] = j
-                pairs.append((low, j))
-                break
-            col ^= reduced[other]
-        reduced.append(col)
-    as_sets = [{r for r in range(c.bit_length()) if c >> r & 1} for c in reduced]
-    return as_sets, pairs
-
-
-def _rips_simplices(dm: DistanceMatrix, opts: FiltrationOptions):
-    """All simplices up to dimension max_dim + 1 within max_radius, in
-    filtration order (value, dimension, lexicographic vertices)."""
-    d = dm.entries
-    n = dm.n
-    simplices: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (i,)) for i in range(n)]
-    r_max = opts.max_radius
-    for i, j in combinations(range(n), 2):
-        v = d[i, j]
-        if v <= r_max:
-            simplices.append((float(v), 1, (i, j)))
-    if opts.max_dim >= 1:
-        for i, j, k in combinations(range(n), 3):
-            v = max(d[i, j], d[i, k], d[j, k])
-            if v <= r_max:
-                simplices.append((float(v), 2, (i, j, k)))
-    simplices.sort()
-    return simplices
-
-
 def vr_persistence(dm: DistanceMatrix, opts: FiltrationOptions) -> dict[int, PersistenceDiagram]:
     """Vietoris-Rips persistence diagrams by degree from a distance matrix.
 
     The filtration value of a simplex is the largest pairwise distance of its
     vertices. Zero-persistence pairs are discarded. Essential classes get a
     death equal to the enclosing radius (the max matrix entry, or max_radius
-    when finite) under the cap policy, and are omitted under drop.
+    when finite) under the cap policy, and are omitted under drop. Points are
+    listed in the order given in the module docstring.
     """
-    simplices = _rips_simplices(dm, opts)
-    index = {s[2]: i for i, s in enumerate(simplices)}
-    columns = []
-    for _, dim, verts in simplices:
-        if dim == 0:
-            columns.append(())
-        else:
-            columns.append(sorted(index[f] for f in combinations(verts, dim)))
-    _, pairs = reduce_boundary_matrix(columns)
+    d = dm.entries
+    n = dm.n
+    # edges within max_radius in filtration order (value, i, j)
+    ii, jj = np.triu_indices(n, 1)
+    values = d[ii, jj]
+    keep = values <= opts.max_radius
+    ii, jj, values = ii[keep], jj[keep], values[keep]
+    order = np.lexsort((jj, ii, values))
+    ii, jj, values = ii[order], jj[order], values[order]
+    edge_vals = values.tolist()
 
     points: dict[int, list[tuple[float, float]]] = {deg: [] for deg in range(opts.max_dim + 1)}
-    paired_births = set()
-    for low, j in pairs:
-        paired_births.add(low)
-        birth_val, birth_dim, _ = simplices[low]
-        death_val = simplices[j][0]
-        if birth_dim <= opts.max_dim and birth_val < death_val:
-            points[birth_dim].append((birth_val, death_val))
+    # H0: an edge that joins two components kills one of them (born at 0)
+    uf = _UnionFind(n)
+    death_edge = [False] * len(edge_vals)
+    components = n
+    for e, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
+        if components == 1:
+            break
+        surviving, dying = uf.union(i, j)
+        if surviving != dying:
+            death_edge[e] = True
+            components -= 1
+            if 0.0 < edge_vals[e]:
+                points[0].append((0.0, edge_vals[e]))
+
+    essential_edges: list[int] = []
+    if opts.max_dim >= 1 and edge_vals:
+        pairs, essential_edges, tri_vals = _h1_pairs(d, ii, jj, death_edge)
+        for t in sorted(pairs):
+            birth, death = edge_vals[pairs[t]], tri_vals[t]
+            if birth < death:
+                points[1].append((birth, death))
 
     if opts.essential_policy == CAP:
         if math.isfinite(opts.max_radius):
             cap = float(opts.max_radius)
         else:
-            cap = float(dm.entries.max()) if dm.n else 0.0
-        destroyer_cols = {j for _, j in pairs}
-        for i, (val, dim, _) in enumerate(simplices):
-            if i in paired_births or i in destroyer_cols:
-                continue
-            if dim <= opts.max_dim and val < cap:
-                points[dim].append((val, cap))
+            cap = float(d.max()) if n else 0.0
+        if 0.0 < cap:
+            points[0].extend([(0.0, cap)] * components)
+        for e in sorted(essential_edges):
+            if edge_vals[e] < cap:
+                points[1].append((edge_vals[e], cap))
 
     return {deg: PersistenceDiagram(pts) for deg, pts in points.items()}
+
+
+def _h1_pairs(d: np.ndarray, ii: np.ndarray, jj: np.ndarray,
+              death_edge: list[bool]) -> tuple[dict[int, int], list[int], list[float]]:
+    """Degree-1 persistence pairs by reduction of edge coboundaries.
+
+    ``ii``, ``jj`` list the edges in filtration order; edge e is the edge of
+    rank e, and triangles are named by their rank in the same total order.
+    Returns the pairing {triangle: edge}, the edges whose column reduces to
+    zero (essential classes) and the triangle values by rank.
+    """
+    n = d.shape[0]
+    n_edges = len(ii)
+    edge_rank = np.full((n, n), -1, dtype=np.intp)
+    edge_rank[ii, jj] = edge_rank[jj, ii] = np.arange(n_edges)
+
+    # triangles within max_radius (all three edges present), ranked by
+    # (value, i, j, k)
+    idx = np.arange(n)
+    a, b, c = np.nonzero((idx[:, None, None] < idx[None, :, None])
+                         & (idx[None, :, None] < idx[None, None, :]))
+    keep = (edge_rank[a, b] >= 0) & (edge_rank[a, c] >= 0) & (edge_rank[b, c] >= 0)
+    a, b, c = a[keep], b[keep], c[keep]
+    tri_values = np.maximum(np.maximum(d[a, b], d[a, c]), d[b, c])
+    order = np.lexsort((c, b, a, tri_values))
+    n_tri = len(order)
+    tri_rank = np.empty(n_tri, dtype=np.intp)
+    tri_rank[order] = np.arange(n_tri)
+
+    # cofacets[e, k]: rank of the triangle of edge e and vertex k, or n_tri
+    # when there is none
+    rank_of = np.full((n, n, n), n_tri, dtype=np.intp)
+    for p, q, r in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
+        rank_of[p, q, r] = tri_rank
+    cofacets = rank_of[ii, jj]
+
+    # (e, t) is an apparent pair when t, the earliest cofacet of e, has e as
+    # its latest facet: the column of e is then reduced as it stands
+    latest_facet = np.full(n_tri + 1, -1, dtype=np.intp)
+    latest_facet[tri_rank] = np.maximum(np.maximum(edge_rank[a, b], edge_rank[a, c]),
+                                        edge_rank[b, c])
+    earliest = cofacets.min(axis=1)
+    apparent = (latest_facet[earliest] == np.arange(n_edges)).tolist()
+    earliest = earliest.tolist()
+
+    def coboundary(e: int) -> set[int]:
+        row = cofacets[e]
+        return set(row[row < n_tri].tolist())
+
+    pairs: dict[int, int] = {}      # pivot triangle -> edge
+    columns: dict[int, set[int]] = {}   # edge -> reduced column, built on demand
+    essential: list[int] = []
+    for e in range(n_edges - 1, -1, -1):
+        if death_edge[e]:
+            continue  # clearing: an H0 death edge's column reduces to zero
+        if apparent[e]:
+            pairs[earliest[e]] = e
+            continue
+        col = coboundary(e)
+        while col and (owner := pairs.get(min(col))) is not None:
+            if owner not in columns:
+                columns[owner] = coboundary(owner)
+            col ^= columns[owner]
+        if col:
+            pairs[min(col)] = e
+            columns[e] = col
+        else:
+            essential.append(e)
+    return pairs, essential, tri_values[order].tolist()
 
 
 class _UnionFind:

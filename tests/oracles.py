@@ -2,18 +2,21 @@
 
 Each oracle recomputes a quantity that the library computes by a different
 route: brute-force minimization instead of closed forms, exhaustive matching
-enumeration instead of max-flow feasibility search, dense naive matrix
-reduction instead of bitmask columns, and flood-fill component ranks instead
-of the elder-rule union-find sweep.
+enumeration instead of max-flow feasibility search, homology boundary
+reductions (dense naive, and bitmask columns over the full simplex list)
+instead of the Kruskal sweep and edge-coboundary reduction, and flood-fill
+component ranks instead of the elder-rule union-find sweep.
 """
 from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from empers.measure import MetricConfig, PersistenceDiagram, diag_distance, ground_distance
+from empers.persistence import CAP, DistanceMatrix, FiltrationOptions
 
 
 def diag_distance_grid(point, q: float, n_grid: int = 2_000_001) -> float:
@@ -111,6 +114,99 @@ def naive_vr_diagrams(dm: np.ndarray, max_dim: int,
     for d in diagrams:
         diagrams[d].sort()
     return diagrams
+
+
+def reduce_boundary_matrix(columns: Sequence[Iterable[int]]) -> tuple[list[set[int]], list[tuple[int, int]]]:
+    """Left-to-right column reduction over the two-element field.
+
+    ``columns[j]`` holds the row indices of the boundary of simplex j, all of
+    which must be < j (simplices in filtration order). Returns the reduced
+    columns and the pairing (low, j) for every column whose reduced form is
+    non-empty; each low index appears at most once.
+    """
+    reduced: list[int] = []
+    pivot: dict[int, int] = {}
+    pairs: list[tuple[int, int]] = []
+    for j, rows in enumerate(columns):
+        col = 0
+        for r in rows:
+            if not (0 <= r < j):
+                raise ValueError(f"column {j} references row {r}; boundaries must point backwards")
+            col ^= 1 << r
+        while col:
+            low = col.bit_length() - 1
+            other = pivot.get(low)
+            if other is None:
+                pivot[low] = j
+                pairs.append((low, j))
+                break
+            col ^= reduced[other]
+        reduced.append(col)
+    as_sets = [{r for r in range(c.bit_length()) if c >> r & 1} for c in reduced]
+    return as_sets, pairs
+
+
+def rips_simplices(dm: DistanceMatrix, opts: FiltrationOptions):
+    """All simplices up to dimension max_dim + 1 within max_radius, in
+    filtration order (value, dimension, lexicographic vertices)."""
+    d = dm.entries
+    n = dm.n
+    simplices: list[tuple[float, int, tuple[int, ...]]] = [(0.0, 0, (i,)) for i in range(n)]
+    r_max = opts.max_radius
+    for i, j in combinations(range(n), 2):
+        v = d[i, j]
+        if v <= r_max:
+            simplices.append((float(v), 1, (i, j)))
+    if opts.max_dim >= 1:
+        for i, j, k in combinations(range(n), 3):
+            v = max(d[i, j], d[i, k], d[j, k])
+            if v <= r_max:
+                simplices.append((float(v), 2, (i, j, k)))
+    simplices.sort()
+    return simplices
+
+
+def boundary_reduction_vr_diagrams(dm: DistanceMatrix,
+                                   opts: FiltrationOptions) -> dict[int, PersistenceDiagram]:
+    """Vietoris-Rips diagrams by boundary reduction of the full simplex list.
+
+    Same contract and same point order as ``empers.persistence.vr_persistence``:
+    finite points of each degree ordered by the position of their death
+    simplex, then the capped essential classes ordered by the position of
+    their birth simplex.
+    """
+    simplices = rips_simplices(dm, opts)
+    index = {s[2]: i for i, s in enumerate(simplices)}
+    columns = []
+    for _, dim, verts in simplices:
+        if dim == 0:
+            columns.append(())
+        else:
+            columns.append(sorted(index[f] for f in combinations(verts, dim)))
+    _, pairs = reduce_boundary_matrix(columns)
+
+    points: dict[int, list[tuple[float, float]]] = {deg: [] for deg in range(opts.max_dim + 1)}
+    paired_births = set()
+    for low, j in pairs:
+        paired_births.add(low)
+        birth_val, birth_dim, _ = simplices[low]
+        death_val = simplices[j][0]
+        if birth_dim <= opts.max_dim and birth_val < death_val:
+            points[birth_dim].append((birth_val, death_val))
+
+    if opts.essential_policy == CAP:
+        if math.isfinite(opts.max_radius):
+            cap = float(opts.max_radius)
+        else:
+            cap = float(dm.entries.max()) if dm.n else 0.0
+        destroyer_cols = {j for _, j in pairs}
+        for i, (val, dim, _) in enumerate(simplices):
+            if i in paired_births or i in destroyer_cols:
+                continue
+            if dim <= opts.max_dim and val < cap:
+                points[dim].append((val, cap))
+
+    return {deg: PersistenceDiagram(pts) for deg, pts in points.items()}
 
 
 def _components_at_level(values: np.ndarray, level: float, connectivity: int = 4):

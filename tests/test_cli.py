@@ -72,6 +72,13 @@ class TestDistanceCommand:
         assert main(["distance", str(tmp_path / "nope.json"),
                      str(tmp_path / "nope2.json")]) == 3
 
+    def test_q_below_one_is_a_config_error(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        io.write_measure_json(a, PersistenceMeasure([((0, 1), 1.0)]))
+        assert main(["distance", str(a), str(a), "--q", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
+
 
 class TestDiagnoseCommand:
     def test_counterexample_family_report(self, tmp_path, capsys):
@@ -99,6 +106,16 @@ class TestDiagnoseCommand:
         d = tmp_path / "empty"
         d.mkdir()
         assert main(["diagnose", "--measures", str(d)]) == 3
+
+    @pytest.mark.parametrize("flags", [["--eps", "0"], ["--thresholds", "{not json"],
+                                       ["--thresholds", "[1, 2]"]])
+    def test_bad_argument_values_are_config_errors(self, tmp_path, capsys, flags):
+        d = tmp_path / "family"
+        d.mkdir()
+        io.write_measure_json(d / "m0.json", PersistenceMeasure([((0, 1), 1.0)]))
+        assert main(["diagnose", "--measures", str(d), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
 
     def test_profiles_monotone(self, tmp_path, capsys):
         d = tmp_path / "family"
@@ -181,6 +198,20 @@ class TestRunExperiment:
         for stage in manifest["stages"].values():
             for p in stage["outputs"]:
                 assert Path(p).exists()
+
+    def test_rerun_with_fewer_instances_drops_stale_artifacts(self, tmp_path, capsys):
+        cfgp = write_tiny_config(tmp_path)
+        out = tmp_path / "run"
+        assert main(["run-experiment", "--config", str(cfgp), "--out", str(out)]) == 0
+        smaller = dict(TINY_CONFIG, shapes=[dict(s, instances=2) for s in TINY_CONFIG["shapes"]])
+        cfgp.write_text(json.dumps(smaller))
+        assert main(["run-experiment", "--config", str(cfgp), "--out", str(out)]) == 0
+        # 2 classes x 2 instances x 2 repeats, one degree
+        assert len(list((out / "clouds").iterdir())) == 8
+        assert len(list((out / "diagrams").iterdir())) == 8
+        for m in (1, 2):
+            _, labels, _ = io.read_feature_csv(out / f"features_m{m:03d}.csv")
+            assert len(labels) == 4
 
     def test_resume_skips_completed_stages(self, tmp_path, capsys):
         cfgp = write_tiny_config(tmp_path)

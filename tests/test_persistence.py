@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from empers.measure import PersistenceDiagram
 from empers.persistence import (
@@ -11,10 +12,16 @@ from empers.persistence import (
     FiltrationOptions,
     GrayImage,
     image_sublevel_h0,
-    reduce_boundary_matrix,
     vr_persistence,
 )
-from oracles import image_h0_naive_unionfind, image_h0_rank_oracle, naive_vr_diagrams
+from oracles import (
+    boundary_reduction_vr_diagrams,
+    image_h0_naive_unionfind,
+    image_h0_rank_oracle,
+    naive_vr_diagrams,
+    reduce_boundary_matrix,
+    rips_simplices,
+)
 
 CAP_OPTS = FiltrationOptions(max_dim=1, essential_policy=CAP)
 
@@ -46,9 +53,8 @@ class TestReduceBoundaryMatrix:
         rng = np.random.default_rng(0)
         pts = rng.normal(size=(6, 2))
         dm = euclidean_dm(pts)
-        # rebuild the rips columns through the public path and check the contract
-        from empers.persistence import _rips_simplices
-        simplices = _rips_simplices(dm, CAP_OPTS)
+        # rebuild the rips columns and check the contract
+        simplices = rips_simplices(dm, CAP_OPTS)
         index = {s[2]: i for i, s in enumerate(simplices)}
         from itertools import combinations
         columns = []
@@ -134,6 +140,97 @@ class TestVrPersistence:
             DistanceMatrix(np.array([[0, -1], [-1, 0]], dtype=float))
         with pytest.raises(ValueError):
             DistanceMatrix(np.array([[1.0]]))
+
+
+def assert_same_ordered_diagrams(dm: DistanceMatrix, opts: FiltrationOptions):
+    got = vr_persistence(dm, opts)
+    expected = boundary_reduction_vr_diagrams(dm, opts)
+    assert got.keys() == expected.keys()
+    for deg in expected:
+        assert np.array_equal(got[deg].points, expected[deg].points), deg
+    return got
+
+
+def int_cloud_dm(rng, n, dim, high):
+    if n == 0:
+        return DistanceMatrix(np.zeros((0, 0)))
+    return euclidean_dm(rng.integers(0, high, size=(n, dim)))
+
+
+class TestVrPersistenceMatchesBoundaryReduction:
+    """The coboundary algorithm emits the same points in the same order as
+    the boundary reduction of the full simplex list."""
+
+    OPTIONS = (CAP_OPTS, FiltrationOptions(max_dim=0),
+               FiltrationOptions(max_dim=1, essential_policy=DROP))
+
+    def test_random_clouds(self):
+        rng = np.random.default_rng(40)
+        for n in range(16):
+            for _ in range(3):
+                if n == 0:
+                    dm = DistanceMatrix(np.zeros((0, 0)))
+                else:
+                    dm = euclidean_dm(rng.normal(size=(n, rng.integers(1, 4))))
+                for opts in self.OPTIONS:
+                    assert_same_ordered_diagrams(dm, opts)
+
+    @pytest.mark.parametrize("dim, high", [(2, 3), (1, 5)])
+    def test_integer_clouds_with_ties_and_duplicates(self, dim, high):
+        rng = np.random.default_rng(41 + dim)
+        for _ in range(40):
+            dm = int_cloud_dm(rng, int(rng.integers(2, 13)), dim, high)
+            for opts in self.OPTIONS:
+                assert_same_ordered_diagrams(dm, opts)
+
+    def test_finite_max_radius(self):
+        rng = np.random.default_rng(43)
+        h0_essentials = h1_essentials = 0
+        for _ in range(60):
+            dm = int_cloud_dm(rng, int(rng.integers(3, 13)), 2, 6)
+            radius = float(rng.choice([1.0, 1.5, 2.0, 2.5]))
+            for policy in (CAP, DROP):
+                got = assert_same_ordered_diagrams(
+                    dm, FiltrationOptions(max_dim=1, max_radius=radius, essential_policy=policy))
+                if policy == CAP:
+                    h0_essentials = max(h0_essentials, int(np.sum(got[0].points[:, 1] == radius)))
+                    h1_essentials += int(np.sum(got[1].points[:, 1] == radius))
+        # the radius leaves several components and some cycles unfilled
+        assert h0_essentials > 1 and h1_essentials > 0
+
+    def test_finite_max_radius_rings(self):
+        # hexagons of circumradius 1, 1.2 and 1.4, far apart: below the
+        # radius every side is an edge but no triangle fits, so each ring
+        # keeps an essential H1 class with its own birth
+        rng = np.random.default_rng(44)
+        angles = np.linspace(0, 2 * np.pi, 6, endpoint=False)
+        for _ in range(10):
+            rings = [np.column_stack([10 * k + r * np.cos(angles), r * np.sin(angles)])
+                     for k, r in enumerate((1.0, 1.2, 1.4))]
+            pts = np.vstack(rings) + rng.uniform(-0.05, 0.05, size=(18, 2))
+            got = assert_same_ordered_diagrams(
+                euclidean_dm(pts[rng.permutation(18)]), FiltrationOptions(max_radius=1.6))
+            assert len(got[0].points[got[0].points[:, 1] == 1.6]) == 3
+            essential_births = got[1].points[got[1].points[:, 1] == 1.6, 0]
+            assert len(set(essential_births)) == 3
+
+    def test_thirty_point_default_shape_cloud(self):
+        from empers.config import DEFAULT_SHAPES
+        from empers.samplers import ShapeSpec, pairwise_distances, sample_shape
+        torus = next(s for s in DEFAULT_SHAPES if s.kind == "torus")
+        cloud = sample_shape(ShapeSpec(kind="torus", n=30, seed=5, ring_radius=torus.ring_radius,
+                                       tube_radius=torus.tube_radius))
+        got = assert_same_ordered_diagrams(pairwise_distances(cloud), CAP_OPTS)
+        assert len(got[0]) == 30 and len(got[1]) > 0
+
+    @settings(max_examples=40)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=11),
+           st.sampled_from([0, 1]), st.sampled_from([CAP, DROP]),
+           st.sampled_from([math.inf, 1.0, 2.0, 3.0]))
+    def test_property_integer_clouds(self, pts, max_dim, policy, radius):
+        dm = euclidean_dm(pts) if pts else DistanceMatrix(np.zeros((0, 0)))
+        assert_same_ordered_diagrams(dm, FiltrationOptions(max_dim=max_dim, max_radius=radius,
+                                                           essential_policy=policy))
 
 
 class TestImageSublevelH0:
