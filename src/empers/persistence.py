@@ -217,8 +217,8 @@ def _h1_pairs(d: np.ndarray, ii: np.ndarray, jj: np.ndarray,
         row = cofacets[e]
         return set(row[row < n_tri].tolist())
 
-    pairs: dict[int, int] = {}      # pivot triangle -> edge
-    columns: dict[int, set[int]] = {}   # edge -> reduced column, built on demand
+    pairs: dict[int, int] = {}  # pivot triangle -> edge
+    columns: dict[int, set[int]] = {}  # edge -> reduced column, built on demand
     essential: list[int] = []
     for e in range(n_edges - 1, -1, -1):
         if death_edge[e]:

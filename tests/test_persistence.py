@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from empers.config import DEFAULT_SHAPES
 from empers.measure import PersistenceDiagram
 from empers.persistence import (
     CAP,
@@ -14,6 +15,7 @@ from empers.persistence import (
     image_sublevel_h0,
     vr_persistence,
 )
+from empers.samplers import ShapeSpec, pairwise_distances, sample_shape
 from oracles import (
     boundary_reduction_vr_diagrams,
     image_h0_naive_unionfind,
@@ -215,8 +217,6 @@ class TestVrPersistenceMatchesBoundaryReduction:
             assert len(set(essential_births)) == 3
 
     def test_thirty_point_default_shape_cloud(self):
-        from empers.config import DEFAULT_SHAPES
-        from empers.samplers import ShapeSpec, pairwise_distances, sample_shape
         torus = next(s for s in DEFAULT_SHAPES if s.kind == "torus")
         cloud = sample_shape(ShapeSpec(kind="torus", n=30, seed=5, ring_radius=torus.ring_radius,
                                        tube_radius=torus.tube_radius))
