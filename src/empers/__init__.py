@@ -47,9 +47,6 @@ from .persistence import (
 from .samplers import (
     PointCloud,
     ShapeSpec,
-    eccentricity,
-    inverse_transform_sample,
-    knn_geodesic,
     pairwise_distances,
     sample_patches,
     sample_shape,
@@ -59,10 +56,8 @@ from .features import (
     StepKernel,
     TemplateFunction,
     TemplateSystem,
-    convolve_step,
     drop_zero_columns,
     feature_vector,
-    kde_eval,
     template_grid,
 )
 from .learn import (

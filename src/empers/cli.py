@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Subcommands: sample, diagram, featurize, train, evaluate, distance,
-diagnose, run-experiment. Global flags (--config, --seed, --out, --jobs,
---resume) are accepted by every subcommand. Exit codes: 0 success, 2 config
-error, 3 data error, 4 numerical failure.
+diagnose, run-experiment. Each subcommand accepts only the shared flags it
+reads: the pipeline stages take --config, --seed and --out, diagram also
+takes --jobs, run-experiment takes --jobs and --resume, evaluate and
+diagnose take only --out, and distance takes none. Exit codes: 0 success,
+2 config error, 3 data error, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -31,12 +33,19 @@ from .transport import ot_infinity
 from ._version import __version__
 
 
-def _add_global_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=Path, default=None, help="experiment config JSON")
-    p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--out", type=Path, default=None, help="output file or directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers within a stage")
-    p.add_argument("--resume", action="store_true", help="skip completed stages")
+_SHARED_FLAGS = {
+    "config": dict(type=Path, default=None, help="experiment config JSON"),
+    "seed": dict(type=int, default=None, help="override the master seed"),
+    "out": dict(type=Path, default=None, help="output file or directory"),
+    "jobs": dict(type=int, default=1, help="parallel workers within a stage"),
+    "resume": dict(action="store_true", help="skip completed stages"),
+}
+_STAGE_FLAGS = ("config", "seed", "out")
+
+
+def _add_shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(f"--{name}", **_SHARED_FLAGS[name])
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
@@ -179,16 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample point clouds from configured shapes")
-    _add_global_flags(p)
+    _add_shared_flags(p, *_STAGE_FLAGS)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("diagram", help="Vietoris-Rips diagrams for a directory of clouds")
-    _add_global_flags(p)
+    _add_shared_flags(p, *_STAGE_FLAGS, "jobs")
     p.add_argument("--in", dest="in_dir", type=Path, required=True)
     p.set_defaults(fn=cmd_diagram)
 
     p = sub.add_parser("featurize", help="template features of grouped diagrams")
-    _add_global_flags(p)
+    _add_shared_flags(p, *_STAGE_FLAGS)
     p.add_argument("--diagrams", type=Path, required=True)
     p.add_argument("--samples-per-object", type=int, required=True,
                    help="how many repeats per instance enter the estimate")
@@ -197,18 +206,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_featurize)
 
     p = sub.add_parser("train", help="split features, train, and report metrics")
-    _add_global_flags(p)
+    _add_shared_flags(p, *_STAGE_FLAGS)
     p.add_argument("--features", type=Path, required=True)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a saved model on a feature file")
-    _add_global_flags(p)
+    _add_shared_flags(p, "out")
     p.add_argument("--model", type=Path, required=True)
     p.add_argument("--features", type=Path, required=True)
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("distance", help="partial transport distance of two measures")
-    _add_global_flags(p)
     p.add_argument("measure_a", type=Path)
     p.add_argument("measure_b", type=Path)
     p.add_argument("--q", default=None, help="norm exponent (number or 'inf')")
@@ -217,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("diagnose", help="compactness diagnostics over a measure family")
-    _add_global_flags(p)
+    _add_shared_flags(p, "out")
     p.add_argument("--measures", type=Path, required=True)
     p.add_argument("--eps", type=float, nargs="+", default=[0.1, 0.5, 1.0])
     p.add_argument("--bands", type=int, nargs="+", default=[1, 5, 10],
@@ -227,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("run-experiment", help="full sample-to-accuracy pipeline")
-    _add_global_flags(p)
+    _add_shared_flags(p, *_STAGE_FLAGS, "jobs", "resume")
     p.set_defaults(fn=cmd_run_experiment)
 
     return parser

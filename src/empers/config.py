@@ -92,6 +92,9 @@ class ExperimentConfig:
             raise ConfigError("samples_per_object must be non-empty positive counts")
         if any(d not in (0, 1) for d in self.homology_degrees) or not self.homology_degrees:
             raise ConfigError("homology_degrees must be a non-empty subset of {0, 1}")
+        if self.template_system_file and len(self.homology_degrees) > 1:
+            raise ConfigError("template_system_file holds one template system, so "
+                              "homology_degrees must name a single degree")
         if self.essential_policy not in ("cap", "drop"):
             raise ConfigError("essential_policy must be 'cap' or 'drop'")
         x0, x1, y0, y1 = self.kernel_rectangle

@@ -12,14 +12,3 @@ class DataError(ValueError):
 class NumericalError(ArithmeticError):
     """Numerical failure (non-finite values, diverging optimization). Exit code 4."""
 
-
-class DisconnectedGraphError(DataError):
-    """A k-nearest-neighbor graph is disconnected; carries the component count."""
-
-    def __init__(self, n_components: int, k: int):
-        self.n_components = n_components
-        self.k = k
-        super().__init__(
-            f"kNN graph with k={k} is disconnected ({n_components} components); "
-            f"increase k to connect it"
-        )

@@ -19,8 +19,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import io
+from ._version import __version__
 from .config import ExperimentConfig, derive_seed
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import (
     TemplateSystem,
     StepKernel,
@@ -43,7 +44,7 @@ from .measure import PersistenceDiagram
 from .persistence import FiltrationOptions, GrayImage, image_sublevel_h0, vr_persistence
 from .samplers import ShapeSpec, pairwise_distances, sample_patches, sample_shape
 
-TOOL_VERSION = "empers 0.1.0"
+TOOL_VERSION = f"empers {__version__}"
 
 
 def _cloud_name(label: str, instance: int, repeat: int) -> str:
@@ -155,8 +156,14 @@ def stage_featurize(diagram_dir: Path, cfg: ExperimentConfig, n_samples: int,
 
     The grid for each degree encloses every diagram of that degree and is
     frozen to JSON next to the feature matrix for reuse at prediction time.
+    A ``template_system_file`` (which the config allows for one degree only)
+    replaces the grid.
     """
+    if n_samples < 1:
+        raise ConfigError(f"samples per object must be >= 1, got {n_samples}")
     kernel = StepKernel(cfg.kernel_support)
+    fixed_system = (io.read_template_system_json(cfg.template_system_file)
+                    if cfg.template_system_file else None)
     per_degree_groups = {}
     systems: dict[int, TemplateSystem] = {}
     for degree in cfg.homology_degrees:
@@ -166,8 +173,8 @@ def stage_featurize(diagram_dir: Path, cfg: ExperimentConfig, n_samples: int,
         if any(len(batch) == 0 for batch in groups.values()):
             raise DataError("every instance needs at least one diagram")
         per_degree_groups[degree] = groups
-        if cfg.template_system_file:
-            systems[degree] = io.read_template_system_json(cfg.template_system_file)
+        if fixed_system is not None:
+            systems[degree] = fixed_system
         else:
             # widen degenerate axes (e.g. all births equal) to one full cell
             bounds = enclosing_bounds(groups.values(), min_extent=cfg.template_cell_side)
@@ -204,13 +211,12 @@ def stage_featurize(diagram_dir: Path, cfg: ExperimentConfig, n_samples: int,
 
 def image_h0_features(images: Sequence[GrayImage], patch_size: int,
                       patches_per_image: int, kernel: StepKernel, cell_side: float,
-                      seed: int, essential_policy: str = "cap",
-                      connectivity: int = 4) -> tuple[np.ndarray, TemplateSystem]:
+                      seed: int) -> tuple[np.ndarray, TemplateSystem]:
     """Texture-style featurization: per image, sublevel-set H0 diagrams of
     random patches estimate its expected persistence measure; features come
     from one template grid enclosing every diagram. Returns the per-image
     feature matrix and the frozen system."""
-    opts = FiltrationOptions(essential_policy=essential_policy, connectivity=connectivity)
+    opts = FiltrationOptions()
     batches = []
     for idx, img in enumerate(images):
         patches = sample_patches(img, patch_size, patches_per_image,

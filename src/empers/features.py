@@ -10,8 +10,8 @@ coordinates, i.e. after the shear (b, d) -> (b, d - b).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -95,49 +95,6 @@ def to_birth_persistence(points: np.ndarray) -> np.ndarray:
     """The shear (b, d) -> (b, d - b)."""
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     return np.column_stack([pts[:, 0], pts[:, 1] - pts[:, 0]])
-
-
-def kde_eval(diagrams: Sequence[PersistenceDiagram], kernel: StepKernel,
-             x: Sequence[float]) -> float:
-    """Kernel density estimate at a point: average over diagrams of the
-    summed kernel values. Evaluation happens in the diagrams' own frame."""
-    if not diagrams:
-        raise ValueError("need at least one diagram")
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for d in diagrams:
-        if len(d):
-            diffs = x[None, :] - d.points
-            inside = ((np.abs(diffs[:, 0]) <= kernel.half_width_x)
-                      & (np.abs(diffs[:, 1]) <= kernel.half_width_y))
-            total += inside.sum() / kernel.support.area
-    return total / len(diagrams)
-
-
-def convolve_step(f: TemplateFunction, kernel: StepKernel, x: Sequence[float]) -> float:
-    """Closed-form convolution of a step template with a step kernel:
-    area((x - A) intersect B) / area(A), always in [0, 1]."""
-    a, b = kernel.support, f.support
-    px, py = float(x[0]), float(x[1])
-    # A is symmetric, so x - A = [px - ax, px + ax] x [py - ay, py + ay]
-    wx = min(px + a.x_max, b.x_max) - max(px - a.x_max, b.x_min)
-    wy = min(py + a.y_max, b.y_max) - max(py - a.y_max, b.y_min)
-    if wx <= 0 or wy <= 0:
-        return 0.0
-    return (wx * wy) / a.area
-
-
-def convolve_quadrature(f: Callable[[float, float], float], kernel: StepKernel,
-                        x: Sequence[float], resolution: int = 200) -> float:
-    """Midpoint-rule fallback for non-step templates: integrates f over the
-    shifted kernel support x - A, normalized by area(A)."""
-    a = kernel.support
-    px, py = float(x[0]), float(x[1])
-    xs = px - a.x_max + (np.arange(resolution) + 0.5) * (2 * a.x_max / resolution)
-    ys = py - a.y_max + (np.arange(resolution) + 0.5) * (2 * a.y_max / resolution)
-    cell = (2 * a.x_max / resolution) * (2 * a.y_max / resolution)
-    total = sum(f(u, v) for u in xs for v in ys)
-    return total * cell / a.area
 
 
 def _batch_convolutions(points_bp: np.ndarray, system: TemplateSystem) -> np.ndarray:

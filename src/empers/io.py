@@ -1,6 +1,6 @@
-"""File formats: diagrams (CSV), measures (JSON), distance matrices and
-point clouds (CSV), grayscale images (PGM), template systems and models
-(JSON), and feature matrices (CSV with a trailing label column).
+"""File formats: diagrams (CSV), measures (JSON), point clouds (CSV),
+grayscale images (PGM), template systems and models (JSON), and feature
+matrices (CSV with a trailing label column).
 
 Floats are written with ``repr`` so files round-trip bit-for-bit and reruns
 of a deterministic pipeline produce byte-identical artifacts.
@@ -18,7 +18,7 @@ from .errors import DataError
 from .features import StepKernel, TemplateFunction, TemplateSystem
 from .learn import LogisticModel, PolynomialMap, TrainConfig
 from .measure import MetricConfig, PersistenceDiagram, PersistenceMeasure, Rectangle
-from .persistence import DistanceMatrix, GrayImage
+from .persistence import GrayImage
 
 PathLike = Union[str, Path]
 
@@ -70,22 +70,9 @@ def read_measure_json(path: PathLike) -> tuple[PersistenceMeasure, MetricConfig]
         raise DataError(f"{path}: invalid measure file: {exc}") from exc
 
 
-def write_matrix_csv(path: PathLike, matrix: np.ndarray) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in np.asarray(matrix)]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_distance_matrix_csv(path: PathLike) -> DistanceMatrix:
-    try:
-        rows = [[float(tok) for tok in ln.split(",")]
-                for ln in Path(path).read_text().strip().splitlines() if ln.strip()]
-        return DistanceMatrix(np.asarray(rows))
-    except ValueError as exc:
-        raise DataError(f"{path}: invalid distance matrix: {exc}") from exc
-
-
 def write_point_cloud_csv(path: PathLike, points: np.ndarray) -> None:
-    write_matrix_csv(path, points)
+    lines = [",".join(repr(float(v)) for v in row) for row in np.asarray(points)]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_point_cloud_csv(path: PathLike) -> np.ndarray:
@@ -206,7 +193,7 @@ def read_feature_csv(path: PathLike) -> tuple[np.ndarray, list[str], list[str]]:
     return np.asarray(rows, dtype=float), labels, column_ids
 
 
-def write_model_json(path: PathLike, model: LogisticModel, extra: dict | None = None) -> None:
+def write_model_json(path: PathLike, model: LogisticModel) -> None:
     obj = {
         "weights": model.weights.tolist(),
         "polynomial": {"degree": model.polynomial.degree,
@@ -223,8 +210,6 @@ def write_model_json(path: PathLike, model: LogisticModel, extra: dict | None = 
         "final_loss": model.final_loss,
         "template_system_ref": model.template_system_ref,
     }
-    if extra:
-        obj["extra"] = extra
     Path(path).write_text(json.dumps(obj, indent=1) + "\n")
 
 

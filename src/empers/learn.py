@@ -132,16 +132,6 @@ def _loss_and_grad(W: np.ndarray, Phi: np.ndarray, Y: np.ndarray, l2: float):
     return loss, grad
 
 
-def cross_entropy_loss(W: np.ndarray, Phi: np.ndarray, y: np.ndarray, l2: float) -> float:
-    Y = np.eye(W.shape[1])[y]
-    return _loss_and_grad(W, Phi, Y, l2)[0]
-
-
-def cross_entropy_grad(W: np.ndarray, Phi: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
-    Y = np.eye(W.shape[1])[y]
-    return _loss_and_grad(W, Phi, Y, l2)[1]
-
-
 def standardize_fit(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-feature mean and scale; constant features get scale 1."""
     means = X.mean(axis=0)
@@ -208,38 +198,29 @@ def predict(model: LogisticModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray
         raise ValueError(f"expected {len(model.feature_means)} raw features, got shape {X.shape}")
     Phi = polynomial_expand((X - model.feature_means) / model.feature_scales, model.polynomial)
     probs = _softmax(Phi @ model.weights)
-    probs = probs / probs.sum(axis=1, keepdims=True)
     return probs.argmax(axis=1), probs
 
 
-def train_test_split(ds: Dataset, ratio: float, seed: int,
-                     stratified: bool = True) -> tuple[Dataset, Dataset]:
-    """Deterministic split; ``ratio`` is the training fraction. Stratified
-    splits preserve class proportions to rounding and require at least one
-    instance per class on each side."""
+def train_test_split(ds: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dataset]:
+    """Deterministic stratified split; ``ratio`` is the training fraction.
+    Class proportions are preserved to rounding, and every class needs at
+    least one instance on each side."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"ratio must be in (0, 1), got {ratio}")
     rng = np.random.Generator(np.random.Philox(seed))
-    n = len(ds.y)
-    if stratified:
-        train_idx, test_idx = [], []
-        for c in range(ds.n_classes):
-            members = np.flatnonzero(ds.y == c)
-            if len(members) < 2:
-                raise ValueError(f"class {c} has {len(members)} instance(s); "
-                                 "stratified split needs at least 2")
-            members = members[rng.permutation(len(members))]
-            n_train = int(round(ratio * len(members)))
-            n_train = min(max(n_train, 1), len(members) - 1)
-            train_idx.extend(members[:n_train])
-            test_idx.extend(members[n_train:])
-        train_idx = np.sort(np.asarray(train_idx))
-        test_idx = np.sort(np.asarray(test_idx))
-    else:
-        perm = rng.permutation(n)
-        n_train = int(round(ratio * n))
-        train_idx = np.sort(perm[:n_train])
-        test_idx = np.sort(perm[n_train:])
+    train_idx, test_idx = [], []
+    for c in range(ds.n_classes):
+        members = np.flatnonzero(ds.y == c)
+        if len(members) < 2:
+            raise ValueError(f"class {c} has {len(members)} instance(s); "
+                             "stratified split needs at least 2")
+        members = members[rng.permutation(len(members))]
+        n_train = int(round(ratio * len(members)))
+        n_train = min(max(n_train, 1), len(members) - 1)
+        train_idx.extend(members[:n_train])
+        test_idx.extend(members[n_train:])
+    train_idx = np.sort(np.asarray(train_idx))
+    test_idx = np.sort(np.asarray(test_idx))
     return (Dataset(ds.X[train_idx], ds.y[train_idx], ds.label_names),
             Dataset(ds.X[test_idx], ds.y[test_idx], ds.label_names))
 

@@ -172,9 +172,6 @@ class PersistenceMeasure:
         return f"PersistenceMeasure({self.n_atoms} atoms, total mass {self.total_mass:.6g})"
 
 
-EMPTY_MEASURE = PersistenceMeasure()
-
-
 @dataclass(frozen=True)
 class Rectangle:
     """Axis-aligned rectangle [x_min, x_max] x [y_min, y_max]."""

@@ -1,5 +1,5 @@
-"""Sampled metric measure spaces: parametric shapes, geodesic distances,
-eccentricity weights, and image patches.
+"""Sampled metric measure spaces: parametric shapes, their Euclidean
+distance matrices, synthetic textures, and image patches.
 
 All randomness flows through the Philox counter-based generator seeded
 explicitly, so identical specs produce identical samples across runs and
@@ -9,15 +9,10 @@ platforms. Child seeds for batch work are derived with
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, shortest_path
 from scipy.spatial.distance import pdist, squareform
 
-from .errors import DisconnectedGraphError
-from .measure import Rectangle
 from .persistence import DistanceMatrix, GrayImage
 
 SHAPE_KINDS = ("sphere", "torus", "circle", "annulus")
@@ -124,59 +119,6 @@ def pairwise_distances(pc: PointCloud) -> DistanceMatrix:
     return DistanceMatrix(squareform(pdist(pc.points)))
 
 
-def knn_geodesic(dm: DistanceMatrix, k: int) -> DistanceMatrix:
-    """All-pairs shortest-path distances on the k-nearest-neighbor graph.
-
-    Edges are weighted by the input distances and symmetrized by union. A
-    disconnected graph raises :class:`DisconnectedGraphError` with the
-    component count so the caller can raise k.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = dm.n
-    if k >= n:
-        k = n - 1
-    d = dm.entries
-    order = np.argsort(d, axis=1, kind="stable")
-    rows, cols, weights = [], [], []
-    for i in range(n):
-        neighbors = [j for j in order[i] if j != i][:k]
-        for j in neighbors:
-            rows.append(i)
-            cols.append(j)
-            weights.append(d[i, j])
-    graph = csr_matrix((weights, (rows, cols)), shape=(n, n))
-    graph = graph.maximum(graph.T)  # symmetrize by union of directed kNN edges
-    n_comp, _ = connected_components(graph, directed=False)
-    if n_comp > 1:
-        raise DisconnectedGraphError(n_comp, k)
-    geo = shortest_path(graph, method="D", directed=False)
-    geo = np.minimum(geo, geo.T)  # exact symmetry for DistanceMatrix validation
-    return DistanceMatrix(geo)
-
-
-def eccentricity(dm: DistanceMatrix) -> np.ndarray:
-    """Per-point max distance, normalized to a probability vector."""
-    raw = dm.entries.max(axis=1)
-    total = raw.sum()
-    if total <= 0:
-        raise ValueError("eccentricity is identically zero; cannot normalize")
-    return raw / total
-
-
-def inverse_transform_sample(weights: np.ndarray, m: int, seed: int) -> np.ndarray:
-    """m i.i.d. indices with P(i) = weights[i], by CDF inversion."""
-    w = np.asarray(weights, dtype=float)
-    if np.any(w < 0):
-        raise ValueError("weights must be non-negative")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {w.sum()!r}")
-    cdf = np.cumsum(w)
-    u = _rng(seed).random(m)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, len(w) - 1)
-
-
 TEXTURE_KINDS = ("gradient", "salt_pepper")
 
 
@@ -204,28 +146,16 @@ def synthetic_texture(kind: str, size: int, seed: int, max_value: float = 255.0)
     return GrayImage(np.clip(values, 0.0, max_value))
 
 
-def sample_patches(img: GrayImage, size: int, m: int, seed: int,
-                   region: Optional[Rectangle] = None) -> list[GrayImage]:
-    """m square crops with corners uniform over the valid positions.
-
-    ``region`` is a half-open pixel box (x = column, y = row) clipped to the
-    image; patches must fit inside it.
-    """
+def sample_patches(img: GrayImage, size: int, m: int, seed: int) -> list[GrayImage]:
+    """m square crops with corners uniform over the valid positions."""
     if size < 1:
         raise ValueError(f"patch size must be >= 1, got {size}")
-    x_lo, y_lo = 0, 0
-    x_hi, y_hi = img.width, img.height
-    if region is not None:
-        x_lo = max(x_lo, int(np.ceil(region.x_min)))
-        y_lo = max(y_lo, int(np.ceil(region.y_min)))
-        x_hi = min(x_hi, int(np.floor(region.x_max)))
-        y_hi = min(y_hi, int(np.floor(region.y_max)))
-    n_x = x_hi - x_lo - size + 1
-    n_y = y_hi - y_lo - size + 1
+    n_x = img.width - size + 1
+    n_y = img.height - size + 1
     if n_x < 1 or n_y < 1:
-        raise ValueError(f"patch of size {size} does not fit in region "
-                         f"[{x_lo},{x_hi})x[{y_lo},{y_hi})")
+        raise ValueError(f"patch of size {size} does not fit in a "
+                         f"{img.width}x{img.height} image")
     rng = _rng(seed)
-    cols = x_lo + rng.integers(0, n_x, m)
-    rows = y_lo + rng.integers(0, n_y, m)
+    cols = rng.integers(0, n_x, m)
+    rows = rng.integers(0, n_y, m)
     return [GrayImage(img.values[r:r + size, c:c + size]) for r, c in zip(rows, cols)]

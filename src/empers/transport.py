@@ -9,12 +9,10 @@ diagonal atom carrying the other side's total mass.
 
 Masses are converted to integers exactly (floats are dyadic rationals), so
 feasibility decisions are exact and extracted couplings satisfy the marginal
-conditions to float round-off. A coarser decimal quantization is available
-via ``mass_scale`` for very large inputs.
+conditions to float round-off.
 """
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,17 +55,12 @@ class Coupling:
     mu: PersistenceMeasure
     nu: PersistenceMeasure
 
-    def cost(self, cfg: MetricConfig = DEFAULT_METRIC) -> float:
-        return cost_infinity(self, cfg)
-
 
 @dataclass(frozen=True)
 class TransportResult:
     distance: float
     coupling: Coupling
     thresholds_tested: int
-    mass_scale: Optional[int] = None  # None means exact dyadic scaling
-    rounding_discrepancy: float = 0.0
 
 
 class _Dinic:
@@ -134,22 +127,10 @@ class _Dinic:
         return self.cap[edge_idx ^ 1]
 
 
-def _quantize(masses: np.ndarray, other: np.ndarray,
-              scale: Optional[int]) -> tuple[list[int], list[int], float]:
-    """Convert both mass vectors to integers on a common scale.
-
-    With ``scale=None`` the conversion is exact: every float is a dyadic
-    rational, so all masses are integer multiples of a common power of two.
-    Returns the two integer vectors and the worst per-atom rounding error.
-    """
-    if scale is not None:
-        u = [round(m * scale) for m in masses]
-        v = [round(m * scale) for m in other]
-        err = 0.0
-        for ints, reals in ((u, masses), (v, other)):
-            for i, m in zip(ints, reals):
-                err = max(err, abs(i / scale - m))
-        return u, v, err
+def _quantize(masses: np.ndarray, other: np.ndarray) -> tuple[list[int], list[int]]:
+    """Convert both mass vectors exactly to integers on a common scale: every
+    float is a dyadic rational, so all masses are integer multiples of a
+    common power of two."""
     fracs_u = [Fraction(float(m)) for m in masses]
     fracs_v = [Fraction(float(m)) for m in other]
     denom = 1
@@ -157,12 +138,11 @@ def _quantize(masses: np.ndarray, other: np.ndarray,
         denom = max(denom, f.denominator)
     u = [int(f * denom) for f in fracs_u]
     v = [int(f * denom) for f in fracs_v]
-    return u, v, 0.0
+    return u, v
 
 
 def feasible_at(mu: PersistenceMeasure, nu: PersistenceMeasure, t: float,
-                cfg: MetricConfig = DEFAULT_METRIC,
-                mass_scale: Optional[int] = None) -> Optional[Coupling]:
+                cfg: MetricConfig = DEFAULT_METRIC) -> Optional[Coupling]:
     """Return a coupling with worst-pair cost <= t, or None if none exists.
 
     Each side is augmented with a diagonal atom carrying the opposite side's
@@ -176,7 +156,7 @@ def feasible_at(mu: PersistenceMeasure, nu: PersistenceMeasure, t: float,
     if n == 0 and m == 0:
         return Coupling(pairs=(), mu=mu, nu=nu)
 
-    u_int, v_int, _ = _quantize(mu.masses, nu.masses, mass_scale)
+    u_int, v_int = _quantize(mu.masses, nu.masses)
     total_u, total_v = sum(u_int), sum(v_int)
     total = total_u + total_v
 
@@ -254,8 +234,7 @@ def _candidate_thresholds(mu: PersistenceMeasure, nu: PersistenceMeasure,
 
 
 def ot_infinity(mu: PersistenceMeasure, nu: PersistenceMeasure,
-                cfg: MetricConfig = DEFAULT_METRIC,
-                mass_scale: Optional[int] = None) -> TransportResult:
+                cfg: MetricConfig = DEFAULT_METRIC) -> TransportResult:
     """Partial infinity-optimal-transport distance with an optimal coupling.
 
     Feasibility is monotone in the threshold and can only change when a new
@@ -263,31 +242,25 @@ def ot_infinity(mu: PersistenceMeasure, nu: PersistenceMeasure,
     of pairwise and diagonal distances; it is located by binary search.
     """
     if mu.n_atoms == 0 and nu.n_atoms == 0:
-        return TransportResult(0.0, Coupling((), mu, nu), 0, mass_scale)
+        return TransportResult(0.0, Coupling((), mu, nu), 0)
 
     cands = _candidate_thresholds(mu, nu, cfg)
-    tested = 0
     lo, hi = 0, len(cands) - 1
-    best: Optional[Coupling] = None
-
-    top = feasible_at(mu, nu, cands[hi], cfg, mass_scale)
-    tested += 1
-    if top is None:  # cannot happen: everything may move to the diagonal at the top
+    best = feasible_at(mu, nu, cands[hi], cfg)
+    tested = 1
+    if best is None:  # cannot happen: everything may move to the diagonal at the top
         raise AssertionError("transport infeasible at the maximal candidate threshold")
-    best = top
 
     while lo < hi:
         mid = (lo + hi) // 2
-        pi = feasible_at(mu, nu, cands[mid], cfg, mass_scale)
+        pi = feasible_at(mu, nu, cands[mid], cfg)
         tested += 1
         if pi is None:
             lo = mid + 1
         else:
             best = pi
             hi = mid
-
-    _, _, rounding = _quantize(mu.masses, nu.masses, mass_scale)
-    return TransportResult(float(cands[hi]), best, tested, mass_scale, rounding)
+    return TransportResult(float(cands[hi]), best, tested)
 
 
 def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram,

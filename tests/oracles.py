@@ -6,15 +6,21 @@ enumeration instead of max-flow feasibility search, homology boundary
 reductions (dense naive, and bitmask columns over the full simplex list)
 instead of the Kruskal sweep and edge-coboundary reduction, and flood-fill
 component ranks instead of the elder-rule union-find sweep.
+
+Reference helpers that only tests call also live here: ``kde_eval``,
+``convolve_step``, ``convolve_quadrature``, and ``cross_entropy_loss`` with
+``cross_entropy_grad`` (the library's gradient) for finite differences.
 """
 from __future__ import annotations
 
 import math
 from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from empers.features import StepKernel, TemplateFunction
+from empers.learn import _loss_and_grad
 from empers.measure import MetricConfig, PersistenceDiagram, diag_distance, ground_distance
 from empers.persistence import CAP, DistanceMatrix, FiltrationOptions
 
@@ -309,3 +315,56 @@ def image_h0_naive_unionfind(values: np.ndarray, connectivity: int = 4,
         if birth[root] < top:
             points.append((birth[root], top))
     return sorted(points)
+
+
+def kde_eval(diagrams: Sequence[PersistenceDiagram], kernel: StepKernel,
+             x: Sequence[float]) -> float:
+    """Kernel density estimate at a point: average over diagrams of the
+    summed kernel values. Evaluation happens in the diagrams' own frame."""
+    if not diagrams:
+        raise ValueError("need at least one diagram")
+    x = np.asarray(x, dtype=float)
+    total = 0.0
+    for d in diagrams:
+        if len(d):
+            diffs = x[None, :] - d.points
+            inside = ((np.abs(diffs[:, 0]) <= kernel.half_width_x)
+                      & (np.abs(diffs[:, 1]) <= kernel.half_width_y))
+            total += inside.sum() / kernel.support.area
+    return total / len(diagrams)
+
+
+def convolve_step(f: TemplateFunction, kernel: StepKernel, x: Sequence[float]) -> float:
+    """Closed-form convolution of a step template with a step kernel:
+    area((x - A) intersect B) / area(A), always in [0, 1]."""
+    a, b = kernel.support, f.support
+    px, py = float(x[0]), float(x[1])
+    # A is symmetric, so x - A = [px - ax, px + ax] x [py - ay, py + ay]
+    wx = min(px + a.x_max, b.x_max) - max(px - a.x_max, b.x_min)
+    wy = min(py + a.y_max, b.y_max) - max(py - a.y_max, b.y_min)
+    if wx <= 0 or wy <= 0:
+        return 0.0
+    return (wx * wy) / a.area
+
+
+def convolve_quadrature(f: Callable[[float, float], float], kernel: StepKernel,
+                        x: Sequence[float], resolution: int = 200) -> float:
+    """Midpoint-rule integral of any template f over the shifted kernel
+    support x - A, normalized by area(A)."""
+    a = kernel.support
+    px, py = float(x[0]), float(x[1])
+    xs = px - a.x_max + (np.arange(resolution) + 0.5) * (2 * a.x_max / resolution)
+    ys = py - a.y_max + (np.arange(resolution) + 0.5) * (2 * a.y_max / resolution)
+    cell = (2 * a.x_max / resolution) * (2 * a.y_max / resolution)
+    total = sum(f(u, v) for u in xs for v in ys)
+    return total * cell / a.area
+
+
+def cross_entropy_loss(W: np.ndarray, Phi: np.ndarray, y: np.ndarray, l2: float) -> float:
+    scores = Phi @ W
+    log_probs = scores - np.logaddexp.reduce(scores, axis=1, keepdims=True)
+    return float(-np.mean(log_probs[np.arange(len(y)), y]) + 0.5 * l2 * (W ** 2).sum())
+
+
+def cross_entropy_grad(W: np.ndarray, Phi: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
+    return _loss_and_grad(W, Phi, np.eye(W.shape[1])[y], l2)[1]

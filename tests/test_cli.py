@@ -4,10 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from empers import io
-from empers.cli import main
+from empers import experiment, io
+from empers.cli import build_parser, main
 from empers.compactness import counterexample_family
-from empers.measure import BirthDeathPoint, MetricConfig, PersistenceMeasure, truncate
+from empers.features import StepKernel, TemplateSystem, template_grid
+from empers.measure import BirthDeathPoint, MetricConfig, PersistenceMeasure, Rectangle, truncate
 
 TINY_CONFIG = {
     "shapes": [
@@ -23,10 +24,15 @@ TINY_CONFIG = {
 }
 
 
-def write_tiny_config(tmp_path):
+def write_tiny_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(TINY_CONFIG))
+    path.write_text(json.dumps(dict(TINY_CONFIG, **overrides)))
     return path
+
+
+def assert_one_line_error(capsys, prefix):
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.splitlines()) == 1
 
 
 class TestDistanceCommand:
@@ -172,6 +178,44 @@ class TestPipelineCommands:
         assert main(["evaluate", "--model", str(model_dir / "model.json"),
                      "--features", str(features)]) == 0
 
+    def test_featurize_zero_samples_is_a_config_error(self, tmp_path, capsys):
+        cfgp = write_tiny_config(tmp_path)
+        clouds, diagrams = tmp_path / "clouds", tmp_path / "diagrams"
+        assert main(["sample", "--config", str(cfgp), "--out", str(clouds)]) == 0
+        assert main(["diagram", "--config", str(cfgp), "--in", str(clouds),
+                     "--out", str(diagrams)]) == 0
+        capsys.readouterr()
+        assert main(["featurize", "--config", str(cfgp), "--diagrams", str(diagrams),
+                     "--samples-per-object", "0", "--out", str(tmp_path / "f.csv")]) == 2
+        assert_one_line_error(capsys, "config error:")
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_diagram_input_not_a_directory_is_a_data_error(self, tmp_path, capsys):
+        cfgp = write_tiny_config(tmp_path)
+        not_dir = tmp_path / "cloud.csv"
+        not_dir.write_text("0.0,0.0\n")
+        assert main(["diagram", "--config", str(cfgp), "--in", str(not_dir),
+                     "--out", str(tmp_path / "d")]) == 3
+        assert_one_line_error(capsys, "data error:")
+
+    def test_train_missing_features_is_a_data_error(self, tmp_path, capsys):
+        cfgp = write_tiny_config(tmp_path)
+        assert main(["train", "--config", str(cfgp), "--features",
+                     str(tmp_path / "nope.csv"), "--out", str(tmp_path / "model")]) == 3
+        assert_one_line_error(capsys, "data error:")
+
+    def test_evaluate_mismatched_labels_is_a_data_error(self, tmp_path, capsys):
+        cfgp = write_tiny_config(tmp_path)
+        run = tmp_path / "run"
+        assert main(["run-experiment", "--config", str(cfgp), "--out", str(run)]) == 0
+        matrix, labels, ids = io.read_feature_csv(run / "features_m001.csv")
+        renamed = tmp_path / "renamed.csv"
+        io.write_feature_csv(renamed, matrix, ["disk" if l == "circle" else l for l in labels], ids)
+        capsys.readouterr()
+        assert main(["evaluate", "--model", str(run / "model_m001.json"),
+                     "--features", str(renamed)]) == 3
+        assert_one_line_error(capsys, "data error:")
+
     def test_diagram_empty_dir_warns(self, tmp_path, capsys):
         cfgp = write_tiny_config(tmp_path)
         empty = tmp_path / "empty"
@@ -222,6 +266,77 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["stages"]["sample"].get("resumed") is True
         assert manifest["stages"]["diagram"].get("resumed") is True
+
+
+class TestTemplateSystemFile:
+    def write_system(self, tmp_path):
+        system = TemplateSystem(StepKernel.from_half_widths(0.1, 0.1),
+                                template_grid(Rectangle(0.0, 1.2, 0.0, 0.8), 0.4))
+        path = tmp_path / "system.json"
+        io.write_template_system_json(path, system)
+        return path, system
+
+    def test_file_with_two_degrees_is_a_config_error(self, tmp_path, capsys):
+        path, _ = self.write_system(tmp_path)
+        cfgp = write_tiny_config(tmp_path, homology_degrees=[0, 1],
+                                 template_system_file=str(path))
+        assert main(["sample", "--config", str(cfgp), "--out", str(tmp_path / "c")]) == 2
+        assert_one_line_error(capsys, "config error:")
+
+    def test_file_is_read_once_and_used(self, tmp_path, capsys, monkeypatch):
+        path, system = self.write_system(tmp_path)
+        cfgp = write_tiny_config(tmp_path, template_system_file=str(path))
+        clouds, diagrams = tmp_path / "clouds", tmp_path / "diagrams"
+        assert main(["sample", "--config", str(cfgp), "--out", str(clouds)]) == 0
+        assert main(["diagram", "--config", str(cfgp), "--in", str(clouds),
+                     "--out", str(diagrams)]) == 0
+        reads = []
+        read = io.read_template_system_json
+        monkeypatch.setattr(experiment.io, "read_template_system_json",
+                            lambda p: reads.append(p) or read(p))
+        features = tmp_path / "features.csv"
+        assert main(["featurize", "--config", str(cfgp), "--diagrams", str(diagrams),
+                     "--samples-per-object", "2", "--out", str(features)]) == 0
+        assert reads == [str(path)]
+        _, _, ids = io.read_feature_csv(features)
+        assert len(ids) == len(system) == 6
+        assert read(tmp_path / "templates_h0.json") == system
+
+
+class TestFlags:
+    # each flag a subcommand does not read, after that subcommand's required arguments
+    IGNORED = [
+        (["sample"], ["--jobs", "2"]), (["sample"], ["--resume"]),
+        (["diagram", "--in", "c"], ["--resume"]),
+        (["featurize", "--diagrams", "d", "--samples-per-object", "1"], ["--jobs", "2"]),
+        (["featurize", "--diagrams", "d", "--samples-per-object", "1"], ["--resume"]),
+        (["train", "--features", "f"], ["--jobs", "2"]),
+        (["train", "--features", "f"], ["--resume"]),
+        *[(["evaluate", "--model", "m", "--features", "f"], flag)
+          for flag in (["--config", "c"], ["--seed", "1"], ["--jobs", "2"], ["--resume"])],
+        *[(["diagnose", "--measures", "d"], flag)
+          for flag in (["--config", "c"], ["--seed", "1"], ["--jobs", "2"], ["--resume"])],
+        *[(["distance", "a.json", "b.json"], flag)
+          for flag in (["--config", "c"], ["--seed", "1"], ["--out", "x"], ["--jobs", "2"],
+                       ["--resume"])],
+    ]
+
+    @pytest.mark.parametrize("command,flag", IGNORED,
+                             ids=[f"{c[0]} {f[0]}" for c, f in IGNORED])
+    def test_unread_flag_is_rejected(self, command, flag, capsys):
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(command + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_distance_out_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        io.write_measure_json(a, PersistenceMeasure([((0, 1), 1.0)]))
+        with pytest.raises(SystemExit) as exc:
+            main(["distance", str(a), str(a), "--out", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestExitCodes:

@@ -7,16 +7,14 @@ from empers.features import (
     StepKernel,
     TemplateFunction,
     TemplateSystem,
-    convolve_quadrature,
-    convolve_step,
     drop_zero_columns,
     enclosing_bounds,
     feature_vector,
-    kde_eval,
     template_grid,
     to_birth_persistence,
 )
 from empers.measure import PersistenceDiagram, Rectangle
+from oracles import convolve_quadrature, convolve_step, kde_eval
 
 K01 = StepKernel.from_half_widths(0.1, 0.1)
 

@@ -60,23 +60,11 @@ class TestMeasureJson:
 
 
 class TestMatrixAndCloudCsv:
-    def test_distance_matrix_round_trip(self, tmp_path):
-        m = np.array([[0, 1.5], [1.5, 0]])
-        path = tmp_path / "dm.csv"
-        io.write_matrix_csv(path, m)
-        assert np.array_equal(io.read_distance_matrix_csv(path).entries, m)
-
     def test_point_cloud_round_trip(self, tmp_path):
         pts = np.random.default_rng(0).normal(size=(5, 3))
         path = tmp_path / "pc.csv"
         io.write_point_cloud_csv(path, pts)
         assert np.array_equal(io.read_point_cloud_csv(path), pts)
-
-    def test_asymmetric_matrix_rejected(self, tmp_path):
-        p = tmp_path / "dm.csv"
-        p.write_text("0,1\n2,0\n")
-        with pytest.raises((DataError, ValueError)):
-            io.read_distance_matrix_csv(p)
 
 
 class TestPgm:

@@ -8,13 +8,12 @@ from empers.learn import (
     TrainConfig,
     accuracy,
     confusion_matrix,
-    cross_entropy_grad,
-    cross_entropy_loss,
     polynomial_expand,
     predict,
     train_logistic,
     train_test_split,
 )
+from oracles import cross_entropy_grad, cross_entropy_loss
 
 XOR_X = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=float)
 XOR_Y = np.array([0, 1, 1, 0])

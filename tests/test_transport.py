@@ -181,14 +181,6 @@ class TestOtInfinity:
                               PersistenceMeasure.from_diagram(d2), Q_INF).distance
             assert got == matching_ot(d1, d2, Q_INF)
 
-    def test_decimal_mass_scale_mode(self):
-        a = PersistenceMeasure([((0, 1), 1.0)])
-        b = PersistenceMeasure([((0, 1), 2.0)])
-        res = ot_infinity(a, b, Q_INF, mass_scale=10 ** 6)
-        assert res.distance == 0.5
-        assert res.mass_scale == 10 ** 6
-        assert res.rounding_discrepancy <= 5e-7
-
     def test_empty_vs_empty(self):
         res = ot_infinity(PersistenceMeasure(), PersistenceMeasure(), Q_INF)
         assert res.distance == 0.0 and res.coupling.pairs == ()
