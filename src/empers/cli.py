@@ -2,10 +2,11 @@
 
 Subcommands: sample, diagram, featurize, train, evaluate, distance,
 diagnose, run-experiment. Each subcommand accepts only the shared flags it
-reads: the pipeline stages take --config, --seed and --out, diagram also
-takes --jobs, run-experiment takes --jobs and --resume, evaluate and
-diagnose take only --out, and distance takes none. Exit codes: 0 success,
-2 config error, 3 data error, 4 numerical failure.
+reads: sample, train and run-experiment take --config, --seed and --out,
+diagram and featurize take --config and --out (their stages draw nothing at
+random), diagram also takes --jobs, run-experiment also takes --jobs and
+--resume, evaluate and diagnose take only --out, and distance takes none.
+Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -40,7 +41,8 @@ _SHARED_FLAGS = {
     "jobs": dict(type=int, default=1, help="parallel workers within a stage"),
     "resume": dict(action="store_true", help="skip completed stages"),
 }
-_STAGE_FLAGS = ("config", "seed", "out")
+_SEEDED_FLAGS = ("config", "seed", "out")
+_UNSEEDED_FLAGS = ("config", "out")
 
 
 def _add_shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
@@ -50,7 +52,7 @@ def _add_shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
 
 def _load_experiment_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         cfg = ExperimentConfig(**{**cfg.to_jsonable(), "master_seed": args.seed,
                                   "shapes": cfg.shapes})
     return cfg
@@ -188,16 +190,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample point clouds from configured shapes")
-    _add_shared_flags(p, *_STAGE_FLAGS)
+    _add_shared_flags(p, *_SEEDED_FLAGS)
     p.set_defaults(fn=cmd_sample)
 
     p = sub.add_parser("diagram", help="Vietoris-Rips diagrams for a directory of clouds")
-    _add_shared_flags(p, *_STAGE_FLAGS, "jobs")
+    _add_shared_flags(p, *_UNSEEDED_FLAGS, "jobs")
     p.add_argument("--in", dest="in_dir", type=Path, required=True)
     p.set_defaults(fn=cmd_diagram)
 
     p = sub.add_parser("featurize", help="template features of grouped diagrams")
-    _add_shared_flags(p, *_STAGE_FLAGS)
+    _add_shared_flags(p, *_UNSEEDED_FLAGS)
     p.add_argument("--diagrams", type=Path, required=True)
     p.add_argument("--samples-per-object", type=int, required=True,
                    help="how many repeats per instance enter the estimate")
@@ -206,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_featurize)
 
     p = sub.add_parser("train", help="split features, train, and report metrics")
-    _add_shared_flags(p, *_STAGE_FLAGS)
+    _add_shared_flags(p, *_SEEDED_FLAGS)
     p.add_argument("--features", type=Path, required=True)
     p.set_defaults(fn=cmd_train)
 
@@ -221,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("measure_b", type=Path)
     p.add_argument("--q", default=None, help="norm exponent (number or 'inf')")
     p.add_argument("--coupling", type=Path, default=None,
-                   help="write the optimal coupling JSON here")
+                   help="write an optimal coupling JSON here (one of possibly "
+                        "several; the distance does not depend on the choice)")
     p.set_defaults(fn=cmd_distance)
 
     p = sub.add_parser("diagnose", help="compactness diagnostics over a measure family")
@@ -235,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_diagnose)
 
     p = sub.add_parser("run-experiment", help="full sample-to-accuracy pipeline")
-    _add_shared_flags(p, *_STAGE_FLAGS, "jobs", "resume")
+    _add_shared_flags(p, *_SEEDED_FLAGS, "jobs", "resume")
     p.set_defaults(fn=cmd_run_experiment)
 
     return parser

@@ -260,6 +260,8 @@ def stage_train(features_csv: Path, cfg: ExperimentConfig, model_out: Path,
         "train": evaluate_model(model, train_ds),
         "test": evaluate_model(model, test_ds),
         "config": cfg.to_jsonable(),
+        "converged": model.converged,
+        "final_grad_norm": model.final_grad_norm,
     }
     io.write_model_json(model_out, model)
     io.write_json(metrics_out, metrics)

@@ -208,6 +208,8 @@ def write_model_json(path: PathLike, model: LogisticModel) -> None:
                          "seed": model.train_config.seed},
         "n_iters": model.n_iters,
         "final_loss": model.final_loss,
+        "converged": model.converged,
+        "final_grad_norm": model.final_grad_norm,
         "template_system_ref": model.template_system_ref,
     }
     Path(path).write_text(json.dumps(obj, indent=1) + "\n")
@@ -226,6 +228,8 @@ def read_model_json(path: PathLike) -> LogisticModel:
             train_config=TrainConfig(**obj["train_config"]),
             n_iters=obj["n_iters"],
             final_loss=obj["final_loss"],
+            converged=obj["converged"],
+            final_grad_norm=obj["final_grad_norm"],
             template_system_ref=obj.get("template_system_ref"),
         )
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:

@@ -107,6 +107,8 @@ class LogisticModel:
     train_config: TrainConfig
     n_iters: int
     final_loss: float
+    converged: bool              # final gradient norm below tol
+    final_grad_norm: float
     template_system_ref: Optional[str] = None
 
     @property
@@ -146,7 +148,8 @@ def train_logistic(ds: Dataset, pmap: PolynomialMap,
     """Fit a softmax classifier on standardized, polynomially expanded features.
 
     Full-batch gradient descent with Armijo backtracking; stops when the
-    gradient norm drops below tol or the iteration cap is reached.
+    gradient norm drops below tol or the iteration cap is reached. The model
+    records which, as ``converged`` and ``final_grad_norm``.
     """
     X, y = ds.X, ds.y
     if not np.all(np.isfinite(X)):
@@ -186,9 +189,10 @@ def train_logistic(ds: Dataset, pmap: PolynomialMap,
         step = t * 2.0
     if not math.isfinite(loss):
         raise NumericalError("training loss is non-finite")
+    gnorm = math.sqrt(float((grad ** 2).sum()))
 
-    return LogisticModel(W, pmap, means, scales, tuple(ds.label_names),
-                         cfg, iters, float(loss), template_system_ref)
+    return LogisticModel(W, pmap, means, scales, tuple(ds.label_names), cfg, iters,
+                         float(loss), gnorm < cfg.tol, gnorm, template_system_ref)
 
 
 def predict(model: LogisticModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

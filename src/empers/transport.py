@@ -7,15 +7,26 @@ distances and the distances to the diagonal), and feasibility at a threshold
 reduces to a max-flow saturation check after augmenting each side with a
 diagonal atom carrying the other side's total mass.
 
-Masses are converted to integers exactly (floats are dyadic rationals), so
+Masses are converted to integers exactly: floats are dyadic rationals, so
+all masses are integer multiples of one power of two, and the integers are
+then divided by their greatest common divisor. Saturation and the ratio of a
+pair's flow to its atom's capacity do not change under a common scale, so
 feasibility decisions are exact and extracted couplings satisfy the marginal
-conditions to float round-off.
+conditions to float round-off. Measures whose atoms all carry one mass, such
+as the expected measures at mass 1/m, get unit capacities.
+
+The flow network is built with numpy and solved by one of two max-flow
+solvers, chosen by exactness alone: scipy's compiled ``maximum_flow`` when
+the total capacity fits in int32, and otherwise an arbitrary-precision Dinic
+in Python on the same edge arrays (``maximum_flow`` stores capacities as
+int32 and gives wrong flows on larger ones). Either returns an optimal
+coupling; when several exist, the two may return different ones.
 """
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Union
 
 import numpy as np
@@ -26,13 +37,14 @@ from .measure import (
     MetricConfig,
     PersistenceDiagram,
     PersistenceMeasure,
-    diag_distance,
     ground_distance,
     ground_distance_matrix,
     _Diagonal,
 )
 
 AtomRef = Union[int, _Diagonal]
+
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 @dataclass(frozen=True)
@@ -64,7 +76,10 @@ class TransportResult:
 
 
 class _Dinic:
-    """Max flow on integer capacities (arbitrary-precision Python ints)."""
+    """Max flow on integer capacities (arbitrary-precision Python ints).
+
+    Edge k is stored at index 2k and its reverse at 2k + 1, so the flow on
+    edge k is the capacity accumulated on index 2k + 1."""
 
     def __init__(self, n: int):
         self.n = n
@@ -72,7 +87,7 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, cap: int) -> int:
+    def add_edge(self, u: int, v: int, cap: int) -> None:
         idx = len(self.to)
         self.head[u].append(idx)
         self.to.append(v)
@@ -80,7 +95,6 @@ class _Dinic:
         self.head[v].append(idx + 1)
         self.to.append(u)
         self.cap.append(0)
-        return idx
 
     def _bfs(self, s: int, t: int) -> bool:
         self.level = [-1] * self.n
@@ -122,23 +136,51 @@ class _Dinic:
                 flow += pushed
         return flow
 
-    def flow_on(self, edge_idx: int) -> int:
-        # flow equals the capacity accumulated on the reverse edge
-        return self.cap[edge_idx ^ 1]
+
+def _max_flow_exact(n_nodes: int, tails: np.ndarray, heads: np.ndarray,
+                    caps: list[int]) -> tuple[int, np.ndarray]:
+    """Max flow from node 0 to node 1 on capacities of any size: the flow
+    value and the flow on each edge, in edge order (an object array of ints)."""
+    net = _Dinic(n_nodes)
+    for u, v, c in zip(tails.tolist(), heads.tolist(), caps):
+        net.add_edge(u, v, c)
+    value = net.max_flow(0, 1)
+    return value, np.array(net.cap[1::2], dtype=object)
+
+
+def _max_flow_int32(n_nodes: int, tails: np.ndarray, heads: np.ndarray,
+                    caps: np.ndarray) -> tuple[int, np.ndarray]:
+    """Max flow from node 0 to node 1 by scipy's compiled solver, which is
+    exact only while the capacities and the flow value fit in int32. Edges
+    must be distinct and not antiparallel; returns what ``_max_flow_exact``
+    does, with the edge flows as int32."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import maximum_flow
+
+    graph = csr_array((np.asarray(caps, dtype=np.int32), (tails, heads)),
+                      shape=(n_nodes, n_nodes))
+    res = maximum_flow(graph, 0, 1)
+    return int(res.flow_value), res.flow[tails, heads]
 
 
 def _quantize(masses: np.ndarray, other: np.ndarray) -> tuple[list[int], list[int]]:
     """Convert both mass vectors exactly to integers on a common scale: every
     float is a dyadic rational, so all masses are integer multiples of a
-    common power of two."""
-    fracs_u = [Fraction(float(m)) for m in masses]
-    fracs_v = [Fraction(float(m)) for m in other]
-    denom = 1
-    for f in fracs_u + fracs_v:
-        denom = max(denom, f.denominator)
-    u = [int(f * denom) for f in fracs_u]
-    v = [int(f * denom) for f in fracs_v]
-    return u, v
+    common power of two. The integers are then divided by their greatest
+    common divisor, which keeps them exact and makes masses k/m small."""
+    values, inverse = np.unique(np.concatenate([masses, other]).astype(float),
+                                return_inverse=True)
+    ratios = [x.as_integer_ratio() for x in values.tolist()]
+    denom = max((d for _, d in ratios), default=1)
+    ints = [num * (denom // d) for num, d in ratios]
+    g = math.gcd(*ints) or 1
+    reduced = np.array([k // g for k in ints], dtype=object)[inverse].tolist()
+    return reduced[:len(masses)], reduced[len(masses):]
+
+
+def _diag_distances(points: np.ndarray, cfg: MetricConfig) -> np.ndarray:
+    """``diag_distance`` of each row, by the same float operations."""
+    return (points[:, 1] - points[:, 0]) * cfg.diag_factor
 
 
 def feasible_at(mu: PersistenceMeasure, nu: PersistenceMeasure, t: float,
@@ -160,54 +202,51 @@ def feasible_at(mu: PersistenceMeasure, nu: PersistenceMeasure, t: float,
     total_u, total_v = sum(u_int), sum(v_int)
     total = total_u + total_v
 
-    mu_diag_ok = [diag_distance(p, cfg) <= t for p in mu.points]
-    nu_diag_ok = [diag_distance(p, cfg) <= t for p in nu.points]
-    gd = ground_distance_matrix(mu.points, nu.points, cfg) if n and m else None
-
     # node ids: source, sink, mu atoms, mu-side diagonal, nu atoms, nu-side diagonal
-    src, snk = 0, 1
     mu_base, mu_diag = 2, 2 + n
     nu_base, nu_diag = 3 + n, 3 + n + m
-    net = _Dinic(4 + n + m)
+    n_nodes = 4 + n + m
 
-    for i in range(n):
-        net.add_edge(src, mu_base + i, u_int[i])
-    net.add_edge(src, mu_diag, total_v)
-    for j in range(m):
-        net.add_edge(nu_base + j, snk, v_int[j])
-    net.add_edge(nu_diag, snk, total_u)
+    # terminal edges: source -> mu atoms and mu-side diagonal, nu atoms and
+    # nu-side diagonal -> sink
+    term_caps = [*u_int, total_v, *v_int, total_u]
+    term_tails = np.concatenate([np.zeros(n + 1, dtype=np.intp), np.arange(nu_base, n_nodes)])
+    term_heads = np.concatenate([np.arange(mu_base, nu_base), np.ones(m + 1, dtype=np.intp)])
 
-    middle: list[tuple[AtomRef, AtomRef, int]] = []
-    if gd is not None:
-        for i in range(n):
-            for j in range(m):
-                if gd[i, j] <= t:
-                    middle.append((i, j, net.add_edge(mu_base + i, nu_base + j, total)))
-    for i in range(n):
-        if mu_diag_ok[i]:
-            middle.append((i, DIAGONAL, net.add_edge(mu_base + i, nu_diag, total)))
-    for j in range(m):
-        if nu_diag_ok[j]:
-            middle.append((DIAGONAL, j, net.add_edge(mu_diag, nu_base + j, total)))
-    net.add_edge(mu_diag, nu_diag, total)  # diagonal-to-diagonal, free, not extracted
+    # admitted middle edges as (mu atom, nu atom) with -1 for the diagonal:
+    # atom pairs, atoms to the diagonal, the diagonal to atoms, then the
+    # diagonal-to-diagonal edge (free, not extracted)
+    if n and m:
+        ii, jj = np.nonzero(ground_distance_matrix(mu.points, nu.points, cfg) <= t)
+    else:
+        ii = jj = np.empty(0, dtype=np.intp)
+    di = np.flatnonzero(_diag_distances(mu.points, cfg) <= t)
+    dj = np.flatnonzero(_diag_distances(nu.points, cfg) <= t)
+    src_atom = np.concatenate([ii, di, np.full(len(dj) + 1, -1)])
+    tgt_atom = np.concatenate([jj, np.full(len(di), -1), dj, [-1]])
+    tails = np.concatenate([term_tails, np.where(src_atom < 0, mu_diag, mu_base + src_atom)])
+    heads = np.concatenate([term_heads, np.where(tgt_atom < 0, nu_diag, nu_base + tgt_atom)])
 
-    if net.max_flow(src, snk) != total:
+    if total <= _INT32_MAX:
+        caps = np.concatenate([term_caps, np.full(len(src_atom), total)])
+        value, flow = _max_flow_int32(n_nodes, tails, heads, caps)
+    else:
+        value, flow = _max_flow_exact(n_nodes, tails, heads,
+                                      term_caps + [total] * len(src_atom))
+    if value != total:
         return None
 
-    denom_u = {i: u for i, u in enumerate(u_int)}
-    denom_v = {j: v for j, v in enumerate(v_int)}
+    middle_flow = flow[len(term_caps):-1]
     pairs = []
-    for a, b, edge in middle:
-        f = net.flow_on(edge)
-        if f <= 0:
-            continue
+    for k in np.flatnonzero(middle_flow > 0).tolist():
+        a, b, f = int(src_atom[k]), int(tgt_atom[k]), int(middle_flow[k])
         # express the pair mass as a fraction of the exact atom mass so that
         # marginals match the original measures to float round-off
-        if isinstance(a, _Diagonal):
-            mass = float(nu.masses[b]) * (f / denom_v[b])
+        if a < 0:
+            pairs.append(CouplingPair(DIAGONAL, b, float(nu.masses[b]) * (f / v_int[b])))
         else:
-            mass = float(mu.masses[a]) * (f / denom_u[a])
-        pairs.append(CouplingPair(a, b, mass))
+            pairs.append(CouplingPair(a, DIAGONAL if b < 0 else b,
+                                      float(mu.masses[a]) * (f / u_int[a])))
     return Coupling(pairs=tuple(pairs), mu=mu, nu=nu)
 
 
@@ -225,12 +264,10 @@ def cost_infinity(pi: Coupling, cfg: MetricConfig = DEFAULT_METRIC) -> float:
 
 def _candidate_thresholds(mu: PersistenceMeasure, nu: PersistenceMeasure,
                           cfg: MetricConfig) -> np.ndarray:
-    cands = [0.0]
-    cands.extend(diag_distance(p, cfg) for p in mu.points)
-    cands.extend(diag_distance(p, cfg) for p in nu.points)
+    parts = [np.zeros(1), _diag_distances(mu.points, cfg), _diag_distances(nu.points, cfg)]
     if mu.n_atoms and nu.n_atoms:
-        cands.extend(ground_distance_matrix(mu.points, nu.points, cfg).ravel().tolist())
-    return np.unique(np.asarray(cands, dtype=float))
+        parts.append(ground_distance_matrix(mu.points, nu.points, cfg).ravel())
+    return np.unique(np.concatenate(parts))
 
 
 def ot_infinity(mu: PersistenceMeasure, nu: PersistenceMeasure,

@@ -174,6 +174,9 @@ class TestPipelineCommands:
         metrics = json.loads((model_dir / "metrics.json").read_text())
         assert 0.0 <= metrics["test"]["accuracy"] <= 1.0
         assert len(metrics["test"]["confusion_matrix"]) == 2
+        model = io.read_model_json(model_dir / "model.json")
+        assert metrics["converged"] is model.converged
+        assert metrics["final_grad_norm"] == model.final_grad_norm
         # evaluate the stored model on the training features
         assert main(["evaluate", "--model", str(model_dir / "model.json"),
                      "--features", str(features)]) == 0
@@ -308,7 +311,9 @@ class TestFlags:
     IGNORED = [
         (["sample"], ["--jobs", "2"]), (["sample"], ["--resume"]),
         (["diagram", "--in", "c"], ["--resume"]),
+        (["diagram", "--in", "c"], ["--seed", "1"]),
         (["featurize", "--diagrams", "d", "--samples-per-object", "1"], ["--jobs", "2"]),
+        (["featurize", "--diagrams", "d", "--samples-per-object", "1"], ["--seed", "1"]),
         (["featurize", "--diagrams", "d", "--samples-per-object", "1"], ["--resume"]),
         (["train", "--features", "f"], ["--jobs", "2"]),
         (["train", "--features", "f"], ["--resume"]),

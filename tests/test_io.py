@@ -146,3 +146,5 @@ class TestModelJson:
         assert np.array_equal(l1, l2)
         assert np.allclose(p1, p2, atol=0)
         assert back.label_names == ("a", "b")
+        assert (back.converged, back.final_grad_norm) == (model.converged, model.final_grad_norm)
+        assert back.converged is False  # 60 iterations do not reach tol

@@ -125,6 +125,26 @@ class TestTrainLogistic:
                   for seed in (0, 12345)]
         assert abs(losses[0] - losses[1]) < 1e-6
 
+    def test_capped_run_reports_not_converged(self):
+        ds = xor_dataset(copies=4)
+        cfg = TrainConfig(max_iters=5, tol=1e-6)
+        model = train_logistic(ds, PolynomialMap(2, 2), cfg)
+        assert model.n_iters == cfg.max_iters
+        assert model.converged is False
+        Phi = polynomial_expand((ds.X - model.feature_means) / model.feature_scales,
+                                model.polynomial)
+        grad = cross_entropy_grad(model.weights, Phi, ds.y, cfg.l2)
+        assert model.final_grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-12)
+        assert model.final_grad_norm >= cfg.tol
+
+    def test_converged_run_reports_it(self):
+        ds = xor_dataset(copies=4)
+        cfg = TrainConfig(l2=1e-2, max_iters=3000, tol=1e-6)
+        model = train_logistic(ds, PolynomialMap(2, 2), cfg)
+        assert model.n_iters < cfg.max_iters
+        assert model.converged is True
+        assert model.final_grad_norm < cfg.tol
+
     def test_rejects_missing_class(self):
         ds = Dataset(np.zeros((4, 2)), np.array([0, 0, 2, 2]))
         with pytest.raises(ValueError):

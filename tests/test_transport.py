@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from empers import transport
 from empers.measure import (
     DIAGONAL,
     MetricConfig,
@@ -10,6 +12,7 @@ from empers.measure import (
     PersistenceMeasure,
     Rectangle,
     diag_distance,
+    ground_distance_matrix,
     integrate,
     mass_above,
     pers_infinity,
@@ -27,6 +30,7 @@ from empers.transport import (
 from oracles import matching_ot
 
 Q_INF = MetricConfig()
+INT32_MAX = 2**31 - 1
 
 
 def random_measure(rng, max_atoms=6, birth_range=(-3, 3), pers_range=(0.05, 3.0),
@@ -251,3 +255,145 @@ class TestVerifyCoupling:
                        for p in res.coupling.pairs))
         assert srcs == ["0", "D"]
         assert verify_coupling(res.coupling) == []
+
+
+def _refuse(*_args, **_kwargs):
+    raise AssertionError("this max-flow solver must not be reached")
+
+
+def _next_lower_candidate(mu, nu, t):
+    cands = [0.0, *(diag_distance(p) for p in mu.points), *(diag_distance(p) for p in nu.points)]
+    if mu.n_atoms and nu.n_atoms:
+        cands.extend(ground_distance_matrix(mu.points, nu.points).ravel().tolist())
+    lower = [c for c in cands if c < t]
+    return max(lower) if lower else None
+
+
+def _assert_certificate(mu, nu, res):
+    assert verify_coupling(res.coupling) == []
+    assert cost_infinity(res.coupling, Q_INF) == res.distance
+    lower = _next_lower_candidate(mu, nu, res.distance)
+    if lower is not None:
+        assert feasible_at(mu, nu, lower, Q_INF) is None
+
+
+class TestFlowSolvers:
+    def test_scaled_unions_match_matching_enumeration(self, monkeypatch):
+        # the union of k diagrams at mass 1/k has the OT distance of the
+        # unit-mass union: every capacity reduces to 1, on the int32 solver
+        monkeypatch.setattr(transport, "_max_flow_exact", _refuse)
+        rng = np.random.default_rng(43)
+        for k in (3, 7, 14):
+            for _ in range(15):
+                d1, d2 = random_diagram(rng), random_diagram(rng)
+                if len(d2) and rng.random() < 0.5:  # coincident atoms
+                    d2 = PersistenceDiagram(np.vstack([d2.points, d2.points[:1]]))
+
+                def union_of_k(d):
+                    parts = np.array_split(d.points[rng.permutation(len(d))], k)
+                    return PersistenceMeasure([(tuple(p), 1.0 / k) for part in parts for p in part])
+
+                mu, nu = union_of_k(d1), union_of_k(d2)
+                res = ot_infinity(mu, nu, Q_INF)
+                assert res.distance == matching_ot(d1, d2, Q_INF)
+                assert verify_coupling(res.coupling) == []
+
+    def test_mixed_thirds_and_fifths_take_the_exact_solver(self, monkeypatch):
+        # float(1/3) and float(1/5) reduce to a 54-bit total; thirds with
+        # sevenths would not do, as their floats are exactly in ratio 7:3
+        assert transport._quantize(np.array([1 / 3]), np.array([1 / 7])) == ([7], [3])
+        monkeypatch.setattr(transport, "_max_flow_int32", _refuse)
+        rng = np.random.default_rng(47)
+        checked = 0
+        for _ in range(10):
+            mu, nu = random_measure(rng, max_atoms=8), random_measure(rng, max_atoms=8)
+            if mu.n_atoms + nu.n_atoms < 2:
+                continue
+            mu = PersistenceMeasure.from_arrays(
+                mu.points, np.where(rng.random(mu.n_atoms) < 0.5, 1 / 3, 1 / 5))
+            nu = PersistenceMeasure.from_arrays(
+                nu.points, np.where(rng.random(nu.n_atoms) < 0.5, 1 / 5, 1 / 3))
+            u, v = transport._quantize(mu.masses, nu.masses)
+            if len(set(u + v)) < 2:
+                continue
+            assert sum(u) + sum(v) > INT32_MAX
+            _assert_certificate(mu, nu, ot_infinity(mu, nu, Q_INF))
+            checked += 1
+        assert checked >= 5
+
+    def test_random_float_masses_take_the_exact_solver(self):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            mu, nu = random_measure(rng), random_measure(rng)
+            if mu.n_atoms and nu.n_atoms:
+                u, v = transport._quantize(mu.masses, nu.masses)
+                assert sum(u) + sum(v) > INT32_MAX
+
+    def test_both_solvers_give_the_same_certificate(self, monkeypatch):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            d1, d2 = random_diagram(rng, max_points=8), random_diagram(rng, max_points=8)
+            mu = PersistenceMeasure.from_diagram(d1, 1 / 3)
+            nu = PersistenceMeasure.from_diagram(d2, 1 / 3)
+            fast = ot_infinity(mu, nu, Q_INF)
+            _assert_certificate(mu, nu, fast)
+            monkeypatch.setattr(transport, "_INT32_MAX", -1)
+            exact = ot_infinity(mu, nu, Q_INF)
+            monkeypatch.undo()
+            assert exact.distance == fast.distance
+            _assert_certificate(mu, nu, exact)
+
+    @pytest.mark.parametrize("masses", [
+        [0.1, 0.2, 0.3, 3.7],
+        [1 / 14] * 5 + [2 / 14, 1 / 3],
+        [2.0, 4.0, 6.0],
+        [1e-300, 1e300, 0.5],
+        [0.75],
+        list(np.random.default_rng(59).uniform(0.1, 4.0, 12)),
+    ])
+    def test_quantize_is_exact_and_reduced(self, masses):
+        u, v = transport._quantize(np.asarray(masses[:2]), np.asarray(masses[2:]))
+        ints = u + v
+        assert len(ints) == len(masses)
+        assert all(isinstance(k, int) and k > 0 for k in ints)
+        assert math.gcd(*ints) == 1
+        scale = Fraction(masses[0]) / ints[0]
+        assert all(Fraction(m) == k * scale for m, k in zip(masses, ints))
+
+    def test_equal_masses_quantize_to_one(self):
+        u, v = transport._quantize(np.full(155, 1 / 14), np.full(160, 1 / 14))
+        assert set(u + v) == {1}
+
+    def test_solvers_agree_on_random_graphs(self):
+        rng = np.random.default_rng(61)
+        for trial in range(60):
+            n_nodes = int(rng.integers(2, 12))
+            pairs = [(a, b) for a in range(n_nodes) for b in range(a + 1, n_nodes)
+                     if rng.random() < 0.4]
+            # orient each pair at random; the source 0 only sends, the sink 1 only receives
+            edges = []
+            for a, b in pairs:
+                u, v = (a, b) if rng.random() < 0.5 else (b, a)
+                if u == 1 or v == 0:
+                    u, v = v, u
+                if u == 1 or v == 0:
+                    continue
+                edges.append((u, v))
+            if not edges:
+                continue
+            tails = np.array([e[0] for e in edges], dtype=np.intp)
+            heads = np.array([e[1] for e in edges], dtype=np.intp)
+            top = 20 if trial % 2 else INT32_MAX // len(edges)
+            caps = rng.integers(0, top + 1, len(edges)).tolist()
+            value, flow = transport._max_flow_int32(n_nodes, tails, heads, np.asarray(caps))
+            exact_value, exact_flow = transport._max_flow_exact(n_nodes, tails, heads, caps)
+            assert value == exact_value
+            for f in (flow, exact_flow):
+                f = [int(x) for x in f]
+                assert all(0 <= x <= c for x, c in zip(f, caps))
+                net = np.zeros(n_nodes, dtype=object)
+                for (u, v), x in zip(edges, f):
+                    net[u] -= x
+                    net[v] += x
+                assert net[0] == -value and net[1] == value
+                assert not any(net[2:])
