@@ -92,12 +92,19 @@ def cmd_featurize(args) -> int:
     return 0
 
 
+def _warn_unconverged(model: Path, metrics: dict, cfg: ExperimentConfig) -> None:
+    if not metrics["converged"]:
+        print(f"warning: {model} did not converge (gradient norm "
+              f"{metrics['final_grad_norm']:.3g} >= tol {cfg.train_tol:g})", file=sys.stderr)
+
+
 def cmd_train(args) -> int:
     cfg = _load_experiment_config(args)
     out_dir = _require_out(args)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics = stage_train(args.features, cfg, out_dir / "model.json",
                           out_dir / "metrics.json")
+    _warn_unconverged(out_dir / "model.json", metrics, cfg)
     print(json.dumps({"train_accuracy": metrics["train"]["accuracy"],
                       "test_accuracy": metrics["test"]["accuracy"]}, indent=1))
     return 0
@@ -174,7 +181,10 @@ def cmd_diagnose(args) -> int:
 
 def cmd_run_experiment(args) -> int:
     cfg = _load_experiment_config(args)
-    manifest = run_experiment(cfg, _require_out(args), jobs=args.jobs, resume=args.resume)
+    run_experiment(cfg, _require_out(args), jobs=args.jobs, resume=args.resume)
+    for m in cfg.samples_per_object:
+        metrics = json.loads((args.out / f"metrics_m{m:03d}.json").read_text())
+        _warn_unconverged(args.out / f"model_m{m:03d}.json", metrics, cfg)
     table = (args.out / "accuracy_table.txt").read_text()
     print(table, end="")
     print(f"manifest: {args.out / 'manifest.json'}")

@@ -1,6 +1,7 @@
 """File formats: diagrams (CSV), measures (JSON), point clouds (CSV),
-grayscale images (PGM), template systems and models (JSON), and feature
-matrices (CSV with a trailing label column).
+template systems and models (JSON), and feature matrices (CSV with a
+trailing label column). Images have no file format yet: the texture
+experiment synthesizes its images in memory.
 
 Floats are written with ``repr`` so files round-trip bit-for-bit and reruns
 of a deterministic pipeline produce byte-identical artifacts.
@@ -18,7 +19,6 @@ from .errors import DataError
 from .features import StepKernel, TemplateFunction, TemplateSystem
 from .learn import LogisticModel, PolynomialMap, TrainConfig
 from .measure import MetricConfig, PersistenceDiagram, PersistenceMeasure, Rectangle
-from .persistence import GrayImage
 
 PathLike = Union[str, Path]
 
@@ -85,50 +85,6 @@ def read_point_cloud_csv(path: PathLike) -> np.ndarray:
     if cloud.ndim != 2:
         raise DataError(f"{path}: rows have inconsistent lengths")
     return cloud
-
-
-def read_pgm(path: PathLike) -> GrayImage:
-    """Read a PGM image, ASCII (P2) or binary (P5)."""
-    data = Path(path).read_bytes()
-    try:
-        tokens = []
-        pos = 0
-        # header: magic, width, height, maxval, with '#' comments allowed
-        while len(tokens) < 4:
-            while pos < len(data) and data[pos:pos + 1].isspace():
-                pos += 1
-            if data[pos:pos + 1] == b"#":
-                while pos < len(data) and data[pos] != 0x0A:
-                    pos += 1
-                continue
-            start = pos
-            while pos < len(data) and not data[pos:pos + 1].isspace():
-                pos += 1
-            tokens.append(data[start:pos])
-        magic = tokens[0].decode()
-        width, height, maxval = (int(t) for t in tokens[1:4])
-        if magic == "P2":
-            values = np.asarray([float(t) for t in data[pos:].split()], dtype=float)
-        elif magic == "P5":
-            pos += 1  # single whitespace after maxval
-            dtype = np.dtype(">u2") if maxval > 255 else np.dtype(np.uint8)
-            values = np.frombuffer(data[pos:pos + width * height * dtype.itemsize],
-                                   dtype=dtype).astype(float)
-        else:
-            raise DataError(f"{path}: unsupported PGM magic {magic!r}")
-        if values.size != width * height:
-            raise DataError(f"{path}: expected {width * height} pixels, got {values.size}")
-        if np.any(values < 0) or np.any(values > maxval):
-            raise DataError(f"{path}: pixel values outside [0, {maxval}]")
-        return GrayImage(values.reshape(height, width))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: malformed PGM: {exc}") from exc
-
-
-def write_pgm(path: PathLike, img: GrayImage, maxval: int = 255) -> None:
-    values = np.clip(np.round(img.values), 0, maxval).astype(int)
-    body = "\n".join(" ".join(str(v) for v in row) for row in values)
-    Path(path).write_text(f"P2\n{img.width} {img.height}\n{maxval}\n{body}\n")
 
 
 def _rect_to_json(r: Rectangle) -> dict:

@@ -1,29 +1,36 @@
 """Persistent homology: Vietoris-Rips H0/H1 and sublevel-set H0 of images.
 
-Vietoris-Rips simplices are totally ordered by (filtration value, dimension,
-lexicographic vertex tuple), which makes diagrams reproducible across runs;
-the output multiset is independent of the input point order.
+Both H0 computations are one Kruskal sweep: the edges of a filtered graph go
+through a union-find in filtration order, and an edge that joins two
+components kills the younger one (elder rule: the smaller birth survives,
+ties broken by root index).
 
-- H0 is a Kruskal sweep: the edges in that order go through a union-find,
-  and an edge that joins two components is the death of one of them.
-- H1 reduces edge coboundaries over the two-element field (Bauer, "Ripser",
-  2021). Columns are the edges in reverse order and the pivot of a column is
-  its earliest cofacet triangle. Clearing skips the H0 death edges, whose
-  columns reduce to zero. An edge that is the latest facet of its earliest
-  cofacet forms an apparent pair with it and is paired without reduction;
-  its column is built only if another column reaches that pivot. By the
-  duality of persistent homology and cohomology (de Silva, Morozov and
-  Vejdemo-Johansson, 2011) the pairs are those of the boundary reduction of
-  the full simplex list.
+- Rips simplices are totally ordered by (filtration value, dimension,
+  lexicographic vertex tuple), which makes diagrams reproducible across
+  runs; the output multiset is independent of the input point order. H0
+  sweeps the edges in that order, with every vertex born at 0.
+- Rips H1 reduces edge coboundaries over the two-element field (Bauer,
+  "Ripser", 2021). Columns are the edges in reverse order and the pivot of a
+  column is its earliest cofacet triangle. Clearing skips the H0 death
+  edges, whose columns reduce to zero. An edge that is the latest facet of
+  its earliest cofacet forms an apparent pair with it and is paired without
+  reduction; its column is built only if another column reaches that pivot.
+  By the duality of persistent homology and cohomology (de Silva, Morozov
+  and Vejdemo-Johansson, 2011) the pairs are those of the boundary
+  reduction of the full simplex list.
+- Image pixels are ordered by (intensity, row-major index) and born at their
+  intensity; each 4-neighbour grid edge enters with its later pixel and
+  dies, if it merges, at that pixel's intensity.
 
-Points are listed in a pinned order: per degree, the finite points ordered
-by the position of their death simplex, then the capped essential classes
-ordered by the position of their birth simplex. Downstream float sums, and
-hence the artifacts, depend on this order.
+Points are listed in a pinned order. Rips: per degree, the finite points
+ordered by the position of their death simplex, then the capped essential
+classes ordered by the position of their birth simplex. Images: the finite
+points ordered by (position of the death pixel, birth), then the capped
+essential class. Downstream float sums, and hence the artifacts, depend on
+this order.
 
-Image diagrams use a union-find sweep with the elder rule. Essential classes
-are finitized per ``essential_policy``: capped at the enclosing radius (or
-the global max intensity for images), or dropped.
+Essential classes are finitized per ``essential_policy``: capped at the
+enclosing radius (or the global max intensity for images), or dropped.
 """
 from __future__ import annotations
 
@@ -93,22 +100,20 @@ class FiltrationOptions:
     """Options for persistence computations.
 
     ``max_dim`` is the top homology degree (0 or 1). ``max_radius`` truncates
-    the Rips filtration; infinite means no truncation. ``connectivity`` (4 or
-    8) applies to image filtrations only.
+    the Rips filtration; infinite means no truncation. Images ignore both:
+    their H0 is the sweep of Rips H0 run over the 4-neighbour pixel grid.
+    ``essential_policy`` caps or drops the essential classes.
     """
 
     max_dim: int = 1
     max_radius: float = math.inf
     essential_policy: str = CAP
-    connectivity: int = 4
 
     def __post_init__(self):
         if self.max_dim not in (0, 1):
             raise ValueError(f"max_dim must be 0 or 1, got {self.max_dim}")
         if self.essential_policy not in (CAP, DROP):
             raise ValueError(f"essential_policy must be '{CAP}' or '{DROP}'")
-        if self.connectivity not in (4, 8):
-            raise ValueError(f"connectivity must be 4 or 8, got {self.connectivity}")
         if self.max_radius <= 0:
             raise ValueError("max_radius must be positive")
 
@@ -135,22 +140,13 @@ def vr_persistence(dm: DistanceMatrix, opts: FiltrationOptions) -> dict[int, Per
 
     points: dict[int, list[tuple[float, float]]] = {deg: [] for deg in range(opts.max_dim + 1)}
     # H0: an edge that joins two components kills one of them (born at 0)
-    uf = _UnionFind(n)
-    death_edge = [False] * len(edge_vals)
-    components = n
-    for e, (i, j) in enumerate(zip(ii.tolist(), jj.tolist())):
-        if components == 1:
-            break
-        surviving, dying = uf.union(i, j)
-        if surviving != dying:
-            death_edge[e] = True
-            components -= 1
-            if 0.0 < edge_vals[e]:
-                points[0].append((0.0, edge_vals[e]))
+    deaths, _ = _h0_deaths([0.0] * n, ii.tolist(), jj.tolist())
+    points[0] = [(0.0, edge_vals[e]) for e in deaths if 0.0 < edge_vals[e]]
+    components = n - len(deaths)
 
     essential_edges: list[int] = []
     if opts.max_dim >= 1 and edge_vals:
-        pairs, essential_edges, tri_vals = _h1_pairs(d, ii, jj, death_edge)
+        pairs, essential_edges, tri_vals = _h1_pairs(d, ii, jj, set(deaths))
         for t in sorted(pairs):
             birth, death = edge_vals[pairs[t]], tri_vals[t]
             if birth < death:
@@ -171,7 +167,7 @@ def vr_persistence(dm: DistanceMatrix, opts: FiltrationOptions) -> dict[int, Per
 
 
 def _h1_pairs(d: np.ndarray, ii: np.ndarray, jj: np.ndarray,
-              death_edge: list[bool]) -> tuple[dict[int, int], list[int], list[float]]:
+              death_edges: set[int]) -> tuple[dict[int, int], list[int], list[float]]:
     """Degree-1 persistence pairs by reduction of edge coboundaries.
 
     ``ii``, ``jj`` list the edges in filtration order; edge e is the edge of
@@ -221,7 +217,7 @@ def _h1_pairs(d: np.ndarray, ii: np.ndarray, jj: np.ndarray,
     columns: dict[int, set[int]] = {}  # edge -> reduced column, built on demand
     essential: list[int] = []
     for e in range(n_edges - 1, -1, -1):
-        if death_edge[e]:
+        if e in death_edges:
             continue  # clearing: an H0 death edge's column reduces to zero
         if apparent[e]:
             pairs[earliest[e]] = e
@@ -239,83 +235,65 @@ def _h1_pairs(d: np.ndarray, ii: np.ndarray, jj: np.ndarray,
     return pairs, essential, tri_values[order].tolist()
 
 
-class _UnionFind:
-    """Union-find tracking each component's birth value (elder rule)."""
+def _h0_deaths(births: list[float], ii: list[int], jj: list[int]) -> tuple[list[int], list[float]]:
+    """Elder-rule union-find sweep over edges given in filtration order.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.birth = [0.0] * n
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, a: int, b: int) -> tuple[int, int]:
-        """Merge the components of a and b; returns (surviving, dying) roots."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return ra, ra
-        # the elder (smaller birth; tie broken by root index) survives
-        if (self.birth[ra], ra) > (self.birth[rb], rb):
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return ra, rb
-
-
-_NEIGHBOR_OFFSETS = {
-    4: ((-1, 0), (1, 0), (0, -1), (0, 1)),
-    8: ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)),
-}
+    Vertex v is born at ``births[v]``; edge e joins ``ii[e]`` and ``jj[e]``.
+    When an edge joins two components the elder (smaller birth, ties broken
+    by root index) survives. Returns, in edge order, the positions of the
+    merging edges and the births of the components they kill; the sweep stops
+    once one component is left.
+    """
+    parent = list(range(len(births)))
+    edges: list[int] = []
+    dying: list[float] = []
+    merges_left = len(births) - 1
+    for e, (i, j) in enumerate(zip(ii, jj)):
+        if len(edges) == merges_left:
+            break
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        while parent[j] != j:
+            parent[j] = j = parent[parent[j]]
+        if i == j:
+            continue
+        if (births[i], i) > (births[j], j):
+            i, j = j, i
+        parent[j] = i
+        edges.append(e)
+        dying.append(births[j])
+    return edges, dying
 
 
 def image_sublevel_h0(img: GrayImage, opts: FiltrationOptions) -> PersistenceDiagram:
     """Degree-0 persistence of the sublevel-set filtration of pixel intensities.
 
-    Pixels enter in increasing intensity (ties by row-major index); when a
-    pixel joins two components the younger one dies at that pixel's intensity
-    (elder rule). The surviving global component is capped at the maximum
-    intensity or dropped, per policy. Zero-persistence points are discarded.
+    Pixels enter in increasing intensity (ties by row-major index) and each
+    4-neighbour edge enters with its later pixel; when an edge joins two
+    components the younger one dies at that pixel's intensity (elder rule).
+    The surviving global component is capped at the maximum intensity or
+    dropped, per policy. Zero-persistence points are discarded.
     """
-    h, w = img.height, img.width
     vals = img.values.ravel()
-    order = np.lexsort((np.arange(h * w), vals))
-    uf = _UnionFind(h * w)
-    seen = np.zeros(h * w, dtype=bool)
-    offsets = _NEIGHBOR_OFFSETS[opts.connectivity]
+    order = np.argsort(vals, kind="stable")
+    rank = np.empty(len(vals), dtype=np.intp)
+    rank[order] = np.arange(len(vals))
+    # grid edges (horizontal, then vertical) between pixel ranks, ordered by
+    # the rank of their later pixel
+    grid = rank.reshape(img.values.shape)
+    ii = np.concatenate((grid[:, :-1].ravel(), grid[:-1].ravel()))
+    jj = np.concatenate((grid[:, 1:].ravel(), grid[1:].ravel()))
+    later = np.maximum(ii, jj)
+    by_later = np.argsort(later, kind="stable")
+    births = vals[order]
+    edges, dying = _h0_deaths(births.tolist(), ii[by_later].tolist(), jj[by_later].tolist())
 
-    points: list[tuple[float, float]] = []
-    for p in order:
-        v = float(vals[p])
-        r, c = divmod(int(p), w)
-        roots = []
-        for dr, dc in offsets:
-            rr, cc = r + dr, c + dc
-            if 0 <= rr < h and 0 <= cc < w:
-                q = rr * w + cc
-                if seen[q]:
-                    roots.append(uf.find(q))
-        seen[p] = True
-        if not roots:
-            uf.birth[p] = v
-            continue
-        # attach p to the eldest neighboring component, killing the others
-        roots = sorted(set(roots), key=lambda root: (uf.birth[root], root))
-        eldest = roots[0]
-        uf.parent[p] = eldest
-        for other in roots[1:]:
-            surv, dead = uf.union(eldest, other)
-            b = uf.birth[dead]
-            if b < v:
-                points.append((b, v))
-
-    if opts.essential_policy == CAP:
-        cap = float(vals.max())
-        root = uf.find(int(order[0]))
-        b = uf.birth[root]
-        if b < cap:
-            points.append((b, cap))
+    death_rank = later[by_later[edges]]
+    dying = np.array(dying)
+    keep = dying < births[death_rank]
+    death_rank, dying = death_rank[keep], dying[keep]
+    listed = np.lexsort((dying, death_rank))
+    points = np.column_stack((dying[listed], births[death_rank[listed]]))
+    if opts.essential_policy == CAP and births[0] < births[-1]:
+        points = np.vstack((points, [(births[0], births[-1])]))
     return PersistenceDiagram(points)

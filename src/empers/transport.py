@@ -37,7 +37,6 @@ from .measure import (
     MetricConfig,
     PersistenceDiagram,
     PersistenceMeasure,
-    ground_distance,
     ground_distance_matrix,
     _Diagonal,
 )
@@ -160,7 +159,9 @@ def _max_flow_int32(n_nodes: int, tails: np.ndarray, heads: np.ndarray,
     graph = csr_array((np.asarray(caps, dtype=np.int32), (tails, heads)),
                       shape=(n_nodes, n_nodes))
     res = maximum_flow(graph, 0, 1)
-    return int(res.flow_value), res.flow[tails, heads]
+    # scipy < 1.11 returns the flow as a csr_matrix, whose fancy indexing
+    # gives a (1, k) matrix
+    return int(res.flow_value), np.asarray(res.flow[tails, heads]).ravel()
 
 
 def _quantize(masses: np.ndarray, other: np.ndarray) -> tuple[list[int], list[int]]:
@@ -251,15 +252,24 @@ def feasible_at(mu: PersistenceMeasure, nu: PersistenceMeasure, t: float,
 
 
 def cost_infinity(pi: Coupling, cfg: MetricConfig = DEFAULT_METRIC) -> float:
-    """Worst ground distance over pairs carrying positive mass; 0 if empty."""
-    worst = 0.0
-    for pair in pi.pairs:
-        if pair.mass <= 0:
-            continue
-        x = DIAGONAL if isinstance(pair.source, _Diagonal) else pi.mu.points[pair.source]
-        y = DIAGONAL if isinstance(pair.target, _Diagonal) else pi.nu.points[pair.target]
-        worst = max(worst, ground_distance(x, y, cfg))
-    return worst
+    """Worst ground distance over pairs carrying positive mass; 0 if empty.
+
+    Distances come from the float operations that admit edges in
+    ``feasible_at``, so an optimal coupling costs exactly its distance.
+    """
+    def index(ref: AtomRef) -> int:
+        return -1 if isinstance(ref, _Diagonal) else ref
+
+    carried = [(index(p.source), index(p.target)) for p in pi.pairs if p.mass > 0]
+    src, tgt = np.array(carried, dtype=np.intp).reshape(-1, 2).T
+    costs = [np.zeros(1),
+             _diag_distances(pi.mu.points, cfg)[src[(src >= 0) & (tgt < 0)]],
+             _diag_distances(pi.nu.points, cfg)[tgt[(src < 0) & (tgt >= 0)]]]
+    both = (src >= 0) & (tgt >= 0)
+    if both.any():
+        gd = ground_distance_matrix(pi.mu.points, pi.nu.points, cfg)
+        costs.append(gd[src[both], tgt[both]])
+    return float(np.concatenate(costs).max())
 
 
 def _candidate_thresholds(mu: PersistenceMeasure, nu: PersistenceMeasure,

@@ -215,13 +215,12 @@ def boundary_reduction_vr_diagrams(dm: DistanceMatrix,
     return {deg: PersistenceDiagram(pts) for deg, pts in points.items()}
 
 
-def _components_at_level(values: np.ndarray, level: float, connectivity: int = 4):
-    """Flood-fill labels of the sublevel set {pixels <= level}; -1 outside."""
+def _components_at_level(values: np.ndarray, level: float):
+    """Flood-fill labels of the 4-connected sublevel set {pixels <= level};
+    -1 outside."""
     h, w = values.shape
     labels = -np.ones((h, w), dtype=int)
     offs = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    if connectivity == 8:
-        offs += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     next_label = 0
     for r0 in range(h):
         for c0 in range(w):
@@ -240,7 +239,7 @@ def _components_at_level(values: np.ndarray, level: float, connectivity: int = 4
     return labels, next_label
 
 
-def image_h0_rank_oracle(values: np.ndarray, connectivity: int = 4,
+def image_h0_rank_oracle(values: np.ndarray,
                          essential_policy: str = "cap") -> list[tuple[float, float]]:
     """Sublevel-set H0 diagram from the rank function of component inclusions.
 
@@ -251,7 +250,7 @@ def image_h0_rank_oracle(values: np.ndarray, connectivity: int = 4,
     values = np.asarray(values, dtype=float)
     levels = np.unique(values)
     n_lev = len(levels)
-    label_maps = [_components_at_level(values, lv, connectivity)[0] for lv in levels]
+    label_maps = [_components_at_level(values, lv)[0] for lv in levels]
 
     def rank(i: int, j: int) -> int:
         if i < 0:
@@ -272,14 +271,18 @@ def image_h0_rank_oracle(values: np.ndarray, connectivity: int = 4,
     return sorted(points)
 
 
-def image_h0_naive_unionfind(values: np.ndarray, connectivity: int = 4,
+def image_h0_naive_unionfind(values: np.ndarray,
                              essential_policy: str = "cap") -> list[tuple[float, float]]:
-    """Sublevel-set H0 by a plain dictionary union-find written from scratch."""
+    """Sublevel-set H0 by a plain dictionary union-find written from scratch,
+    pixel by pixel over 4-neighbours.
+
+    Points are emitted in the library's pinned order: by the death pixel's
+    position in (intensity, row-major index) order, the components dying at
+    one pixel by (birth, root), then the capped essential class.
+    """
     values = np.asarray(values, dtype=float)
     h, w = values.shape
     offs = [(-1, 0), (1, 0), (0, -1), (0, 1)]
-    if connectivity == 8:
-        offs += [(-1, -1), (-1, 1), (1, -1), (1, 1)]
     parent: dict[tuple[int, int], tuple[int, int]] = {}
     birth: dict[tuple[int, int], float] = {}
 
@@ -314,7 +317,7 @@ def image_h0_naive_unionfind(values: np.ndarray, connectivity: int = 4,
         root = find(order[0][1])
         if birth[root] < top:
             points.append((birth[root], top))
-    return sorted(points)
+    return points
 
 
 def kde_eval(diagrams: Sequence[PersistenceDiagram], kernel: StepKernel,

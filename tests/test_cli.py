@@ -363,3 +363,36 @@ class TestExitCodes:
         p = tmp_path / "bad.json"
         p.write_text('{"atoms": "nope"}')
         assert main(["distance", str(p), str(p)]) == 3
+
+
+class TestConvergenceWarning:
+    def test_run_experiment_warns_once_per_unconverged_model(self, tmp_path, capsys):
+        cfgp = write_tiny_config(tmp_path, train_max_iters=1)
+        out = tmp_path / "run"
+        assert main(["run-experiment", "--config", str(cfgp), "--out", str(out)]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        for m, line in zip((1, 2), lines):
+            metrics = json.loads((out / f"metrics_m{m:03d}.json").read_text())
+            assert metrics["converged"] is False
+            assert line == (f"warning: {out / f'model_m{m:03d}.json'} did not converge "
+                            f"(gradient norm {metrics['final_grad_norm']:.3g} >= tol 1e-06)")
+
+    def test_train_warns_only_when_unconverged(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["run-experiment", "--config", str(write_tiny_config(tmp_path)),
+                     "--out", str(run)]) == 0
+        features = str(run / "features_m002.csv")
+        capsys.readouterr()
+        for iters, converged in ((1, False), (500, True)):
+            cfgp = write_tiny_config(tmp_path, train_max_iters=iters, l2=1.0)
+            model_dir = tmp_path / f"model{iters}"
+            assert main(["train", "--config", str(cfgp), "--features", features,
+                         "--out", str(model_dir)]) == 0
+            assert json.loads((model_dir / "metrics.json").read_text())["converged"] is converged
+            lines = capsys.readouterr().err.splitlines()
+            if converged:
+                assert lines == []
+            else:
+                assert len(lines) == 1
+                assert lines[0].startswith(f"warning: {model_dir / 'model.json'} did not converge")

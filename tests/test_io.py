@@ -8,7 +8,6 @@ from empers.errors import DataError
 from empers.features import StepKernel, TemplateFunction, TemplateSystem
 from empers.learn import Dataset, PolynomialMap, TrainConfig, train_logistic
 from empers.measure import MetricConfig, PersistenceDiagram, PersistenceMeasure, Rectangle
-from empers.persistence import GrayImage
 
 
 class TestDiagramCsv:
@@ -65,41 +64,6 @@ class TestMatrixAndCloudCsv:
         path = tmp_path / "pc.csv"
         io.write_point_cloud_csv(path, pts)
         assert np.array_equal(io.read_point_cloud_csv(path), pts)
-
-
-class TestPgm:
-    def test_ascii_round_trip(self, tmp_path):
-        img = GrayImage(np.arange(12, dtype=float).reshape(3, 4))
-        path = tmp_path / "img.pgm"
-        io.write_pgm(path, img, maxval=255)
-        back = io.read_pgm(path)
-        assert np.array_equal(back.values, img.values)
-
-    def test_ascii_with_comment(self, tmp_path):
-        p = tmp_path / "c.pgm"
-        p.write_text("P2\n# a comment\n2 2\n255\n0 10\n20 30\n")
-        img = io.read_pgm(p)
-        assert img.values.tolist() == [[0, 10], [20, 30]]
-
-    def test_binary_p5(self, tmp_path):
-        p = tmp_path / "b.pgm"
-        p.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 50, 100, 150, 200, 250]))
-        img = io.read_pgm(p)
-        assert img.height == 2 and img.width == 3
-        assert img.values[1].tolist() == [150, 200, 250]
-
-    def test_binary_16_bit(self, tmp_path):
-        p = tmp_path / "b16.pgm"
-        p.write_bytes(b"P5\n2 1\n65535\n" + (1000).to_bytes(2, "big")
-                      + (65535).to_bytes(2, "big"))
-        img = io.read_pgm(p)
-        assert img.values.tolist() == [[1000, 65535]]
-
-    def test_truncated_rejected(self, tmp_path):
-        p = tmp_path / "t.pgm"
-        p.write_bytes(b"P5\n3 2\n255\n" + bytes([0, 1]))
-        with pytest.raises(DataError):
-            io.read_pgm(p)
 
 
 class TestTemplateSystemJson:

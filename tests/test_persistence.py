@@ -261,16 +261,12 @@ class TestImageSublevelH0:
         for _ in range(20):
             img = rng.integers(0, 10, size=(5, 7)).astype(float)
             got = image_sublevel_h0(GrayImage(img), FiltrationOptions(essential_policy=CAP))
-            assert got.as_multiset() == image_h0_naive_unionfind(img)
+            assert got.as_multiset() == sorted(image_h0_naive_unionfind(img))
 
-    def test_eight_connectivity_option(self):
-        # a diagonal pair of low pixels is one component under 8-connectivity
+    def test_diagonal_neighbours_are_not_adjacent(self):
+        # 4-connectivity: the two diagonal minima stay apart until a 9 enters
         img = GrayImage(np.array([[0, 9], [9, 1]], dtype=float))
-        d4 = image_sublevel_h0(img, FiltrationOptions(connectivity=4))
-        d8 = image_sublevel_h0(img, FiltrationOptions(connectivity=8))
-        assert (1.0, 9.0) in d4.as_multiset()
-        assert multiset(d8) == [(0.0, 9.0)]
-        assert multiset(d8) == image_h0_rank_oracle(img.values, connectivity=8)
+        assert multiset(image_sublevel_h0(img, FiltrationOptions())) == [(0.0, 9.0), (1.0, 9.0)]
 
     def test_drop_policy_omits_exactly_the_global_component(self):
         rng = np.random.default_rng(19)
@@ -284,3 +280,42 @@ class TestImageSublevelH0:
         assert len(cap_points) - len(drop_points) in (0, 1)
         if extra:
             assert extra[0][0] == img.min()
+
+
+def assert_same_ordered_image_diagram(values, policy):
+    got = image_sublevel_h0(GrayImage(values), FiltrationOptions(essential_policy=policy))
+    expected = image_h0_naive_unionfind(values, essential_policy=policy)
+    assert np.array_equal(got.points, np.array(expected, dtype=float).reshape(-1, 2))
+
+
+@pytest.mark.parametrize("policy", [CAP, DROP])
+class TestImageSublevelH0Order:
+    """The Kruskal sweep lists the naive union-find's points in its order."""
+
+    def test_random_integer_images_with_ties(self, policy):
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            h, w = rng.integers(1, 9, size=2)
+            assert_same_ordered_image_diagram(
+                rng.integers(0, 5, size=(h, w)).astype(float), policy)
+
+    def test_random_float_images(self, policy):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            assert_same_ordered_image_diagram(rng.normal(size=(7, 5)), policy)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1)])
+    def test_single_row_and_column(self, policy, shape):
+        rng = np.random.default_rng(37)
+        for _ in range(10):
+            assert_same_ordered_image_diagram(
+                rng.integers(0, 4, size=shape).astype(float), policy)
+
+    def test_constant_image(self, policy):
+        assert_same_ordered_image_diagram(np.full((5, 6), 2.5), policy)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 7).flatmap(lambda w: st.lists(
+        st.lists(st.integers(0, 3), min_size=w, max_size=w), min_size=1, max_size=7)))
+    def test_property_integer_images(self, policy, rows):
+        assert_same_ordered_image_diagram(np.array(rows, dtype=float), policy)

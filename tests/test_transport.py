@@ -70,6 +70,22 @@ class TestCostInfinity:
         e = PersistenceMeasure()
         assert cost_infinity(Coupling((), e, e), Q_INF) == 0.0
 
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+    def test_optimal_coupling_costs_exactly_the_distance(self, q):
+        cfg = MetricConfig(q)
+        # math.hypot and the matrix's sqrt(db**2 + dd**2) differ by one ulp
+        # on this pair, as do the scalar and array cube roots at q = 3
+        pairs = [(PersistenceMeasure([((1.6, 4.0), 1.0)]),
+                  PersistenceMeasure([((1.7, 5.5), 1.0)]))]
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            pairs.append(tuple(PersistenceMeasure(
+                [(tuple(p), k / m) for p, k in zip(random_diagram(rng).points, (1, 2, 1, 3, 1))])
+                for m in (3, 7)))
+        for mu, nu in pairs:
+            res = ot_infinity(mu, nu, cfg)
+            assert cost_infinity(res.coupling, cfg) == res.distance
+
 
 class TestFeasibleAt:
     def test_all_mass_to_diagonal_at_exact_threshold(self):
