@@ -7,13 +7,12 @@ persistence, kernel density features, polynomial logistic regression) is the
 same one used on real textures.
 """
 import argparse
-import json
 from pathlib import Path
 
-from empers.config import derive_seed
-from empers.experiment import dataset_from_features, evaluate_model, image_h0_features
+from empers import io
+from empers.config import ExperimentConfig, derive_seed
+from empers.experiment import dataset_from_features, image_h0_features, train_and_evaluate
 from empers.features import StepKernel
-from empers.learn import PolynomialMap, TrainConfig, train_logistic, train_test_split
 from empers.samplers import synthetic_texture
 
 
@@ -41,15 +40,13 @@ def main() -> None:
     matrix, _ = image_h0_features(images, args.patch_size, args.patches_per_image,
                                   kernel, args.cell_side,
                                   seed=derive_seed(args.seed, "patches"))
-    ds = dataset_from_features(matrix, labels)
-    train, test = train_test_split(ds, 0.8, seed=derive_seed(args.seed, "split"))
-    model = train_logistic(train, PolynomialMap(args.degree, matrix.shape[1]),
-                           TrainConfig(l2=1e-4, max_iters=500,
-                                       seed=derive_seed(args.seed, "train")))
-    metrics = {"train": evaluate_model(model, train), "test": evaluate_model(model, test)}
+    # split ratio, ridge penalty and iteration budget are the config defaults
+    _, metrics = train_and_evaluate(dataset_from_features(matrix, labels),
+                                    ExperimentConfig(polynomial_degree=args.degree,
+                                                     master_seed=args.seed))
 
     args.out.mkdir(parents=True, exist_ok=True)
-    (args.out / "metrics.json").write_text(json.dumps(metrics, indent=1, sort_keys=True) + "\n")
+    io.write_json(args.out / "metrics.json", metrics)
     print(f"train accuracy: {metrics['train']['accuracy']:.2%}")
     print(f"test accuracy:  {metrics['test']['accuracy']:.2%}")
     print(f"metrics in {args.out / 'metrics.json'}")

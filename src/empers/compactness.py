@@ -19,7 +19,6 @@ import numpy as np
 
 from .measure import (
     DEFAULT_METRIC,
-    BirthDeathPoint,
     MetricConfig,
     PersistenceMeasure,
     mass_above,
@@ -35,7 +34,7 @@ def uodf_profile(family: Sequence[PersistenceMeasure],
         raise ValueError("eps_list must be non-empty")
     if any(e <= 0 for e in eps_list):
         raise ValueError("eps values must be positive")
-    return {float(e): max((mass_above(mu, e, closed=True) for mu in family), default=0.0)
+    return {float(e): max((mass_above(mu, e) for mu in family), default=0.0)
             for e in eps_list}
 
 
@@ -66,17 +65,6 @@ def diameter_bound(family: Sequence[PersistenceMeasure],
         for j in range(i + 1, len(family)):
             worst = max(worst, ot_infinity(family[i], family[j], cfg).distance)
     return worst
-
-
-def counterexample_family(x: BirthDeathPoint, n: int) -> list[PersistenceMeasure]:
-    """The family {(1/k) * dirac at x : k = 1..n}.
-
-    Passes all three necessary conditions with finite profiles, yet all
-    pairwise distances equal d(x, diagonal), so it is not relatively compact.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return [PersistenceMeasure([((x.birth, x.death), 1.0 / k)]) for k in range(1, n + 1)]
 
 
 @dataclass(frozen=True)

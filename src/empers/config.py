@@ -10,9 +10,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import ConfigError
 from .measure import Rectangle
@@ -132,28 +132,32 @@ class ExperimentConfig:
 
 
 def config_from_dict(obj: dict) -> ExperimentConfig:
+    """Build the config from a JSON object. A field of the wrong JSON type or
+    shape is a ``ConfigError``, like a bad value."""
     obj = dict(obj)
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(obj) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-    if "shapes" in obj:
-        shapes = []
-        for s in obj["shapes"]:
-            if not isinstance(s, dict):
-                raise ConfigError(f"shape entries must be objects, got {s!r}")
-            bad = set(s) - set(ShapeClassConfig.__dataclass_fields__)
-            if bad:
-                raise ConfigError(f"unknown shape fields: {sorted(bad)}")
-            shapes.append(ShapeClassConfig(**s))
-        obj["shapes"] = tuple(shapes)
-    for key in ("samples_per_object", "homology_degrees", "kernel_rectangle"):
-        if key in obj:
-            obj[key] = tuple(obj[key])
     try:
+        if "shapes" in obj:
+            shapes = []
+            for s in obj["shapes"]:
+                if not isinstance(s, dict):
+                    raise ConfigError(f"shape entries must be objects, got {s!r}")
+                bad = set(s) - set(ShapeClassConfig.__dataclass_fields__)
+                if bad:
+                    raise ConfigError(f"unknown shape fields: {sorted(bad)}")
+                shapes.append(ShapeClassConfig(**s))
+            obj["shapes"] = tuple(shapes)
+        for key in ("samples_per_object", "homology_degrees", "kernel_rectangle"):
+            if key in obj:
+                obj[key] = tuple(obj[key])
         return ExperimentConfig(**obj)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def load_config(path: Union[str, Path]) -> ExperimentConfig:

@@ -32,6 +32,7 @@ from .features import (
 )
 from .learn import (
     Dataset,
+    LogisticModel,
     PolynomialMap,
     TrainConfig,
     accuracy,
@@ -245,24 +246,28 @@ def evaluate_model(model, ds: Dataset) -> dict:
     }
 
 
-def stage_train(features_csv: Path, cfg: ExperimentConfig, model_out: Path,
-                metrics_out: Path, template_system_ref: Optional[str] = None) -> dict:
-    """Stratified split, training, and train/test metrics."""
-    matrix, labels, _ = io.read_feature_csv(features_csv)
-    ds = dataset_from_features(matrix, labels)
+def train_and_evaluate(ds: Dataset, cfg: ExperimentConfig,
+                       template_system_ref: Optional[str] = None) -> tuple[LogisticModel, dict]:
+    """Stratified split, training on the train part, and the metrics of both
+    parts. The split and the initial weights are seeded from the master seed."""
     train_ds, test_ds = train_test_split(ds, cfg.split_ratio,
                                          derive_seed(cfg.master_seed, "split"))
-    pmap = PolynomialMap(cfg.polynomial_degree, matrix.shape[1])
+    pmap = PolynomialMap(cfg.polynomial_degree, ds.X.shape[1])
     tc = TrainConfig(l2=cfg.l2, max_iters=cfg.train_max_iters, tol=cfg.train_tol,
                      seed=derive_seed(cfg.master_seed, "train"))
     model = train_logistic(train_ds, pmap, tc, template_system_ref)
-    metrics = {
-        "train": evaluate_model(model, train_ds),
-        "test": evaluate_model(model, test_ds),
-        "config": cfg.to_jsonable(),
-        "converged": model.converged,
-        "final_grad_norm": model.final_grad_norm,
-    }
+    return model, {"train": evaluate_model(model, train_ds), "test": evaluate_model(model, test_ds)}
+
+
+def stage_train(features_csv: Path, cfg: ExperimentConfig, model_out: Path,
+                metrics_out: Path, template_system_ref: Optional[str] = None) -> dict:
+    """``train_and_evaluate`` on a feature file; writes the model and the
+    metrics, with the config and the convergence record."""
+    matrix, labels, _ = io.read_feature_csv(features_csv)
+    model, metrics = train_and_evaluate(dataset_from_features(matrix, labels), cfg,
+                                        template_system_ref)
+    metrics.update(config=cfg.to_jsonable(), converged=model.converged,
+                   final_grad_norm=model.final_grad_norm)
     io.write_model_json(model_out, model)
     io.write_json(metrics_out, metrics)
     return metrics

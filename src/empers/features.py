@@ -36,17 +36,6 @@ class StepKernel:
     def from_half_widths(cls, hx: float, hy: float) -> "StepKernel":
         return cls(Rectangle(-hx, hx, -hy, hy))
 
-    @property
-    def half_width_x(self) -> float:
-        return self.support.x_max
-
-    @property
-    def half_width_y(self) -> float:
-        return self.support.y_max
-
-    def __call__(self, x: float, y: float) -> float:
-        return 1.0 / self.support.area if self.support.contains(x, y) else 0.0
-
 
 @dataclass(frozen=True)
 class TemplateFunction:
@@ -64,16 +53,13 @@ BIRTH_PERSISTENCE = "birth-persistence"
 
 @dataclass(frozen=True)
 class TemplateSystem:
-    """A kernel plus templates defining the feature map, with the coordinate
-    frame the templates live in."""
+    """A kernel plus templates defining the feature map. The templates live
+    in the ``BIRTH_PERSISTENCE`` frame, (birth, death - birth)."""
 
     kernel: StepKernel
     templates: tuple[TemplateFunction, ...]
-    frame: str = BIRTH_PERSISTENCE
 
     def __post_init__(self):
-        if self.frame != BIRTH_PERSISTENCE:
-            raise ValueError(f"unsupported coordinate frame {self.frame!r}")
         if not self.templates:
             raise ValueError("template system needs at least one template")
 
@@ -84,11 +70,6 @@ class TemplateSystem:
 @dataclass(frozen=True)
 class FeatureVector:
     values: np.ndarray
-    template_ids: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.template_ids):
-            raise ValueError("values and template_ids must have equal length")
 
 
 def to_birth_persistence(points: np.ndarray) -> np.ndarray:
@@ -112,8 +93,7 @@ def _batch_convolutions(points_bp: np.ndarray, system: TemplateSystem) -> np.nda
 
 
 def feature_vector(diagrams: Sequence[PersistenceDiagram],
-                   system: TemplateSystem,
-                   template_ids: Sequence[str] | None = None) -> FeatureVector:
+                   system: TemplateSystem) -> FeatureVector:
     """One feature per template: the integral of the template against the
     kernel density estimate of the diagram batch, computed exactly.
 
@@ -121,15 +101,13 @@ def feature_vector(diagrams: Sequence[PersistenceDiagram],
     """
     if not diagrams:
         raise ValueError("need at least one diagram")
-    if template_ids is None:
-        template_ids = tuple(f"t{i:03d}" for i in range(len(system)))
     values = np.zeros(len(system))
     for d in diagrams:
         if len(d):
             pts = to_birth_persistence(d.points)
             values += _batch_convolutions(pts, system).sum(axis=0)
     values /= len(diagrams)
-    return FeatureVector(values, tuple(template_ids))
+    return FeatureVector(values)
 
 
 def template_grid(bounds: Rectangle, cell_side: float) -> tuple[TemplateFunction, ...]:

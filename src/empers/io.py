@@ -1,7 +1,8 @@
-"""File formats: diagrams (CSV), measures (JSON), point clouds (CSV),
-template systems and models (JSON), and feature matrices (CSV with a
-trailing label column). Images have no file format yet: the texture
-experiment synthesizes its images in memory.
+"""File formats: diagrams (CSV), point clouds (CSV), template systems and
+models (JSON), and feature matrices (CSV with a trailing label column).
+Measures (JSON) are read only: the ``distance`` and ``diagnose`` commands
+take them as input, and no stage writes them. Images have no file format
+yet: the texture experiment synthesizes its images in memory.
 
 Floats are written with ``repr`` so files round-trip bit-for-bit and reruns
 of a deterministic pipeline produce byte-identical artifacts.
@@ -16,7 +17,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DataError
-from .features import StepKernel, TemplateFunction, TemplateSystem
+from .features import BIRTH_PERSISTENCE, StepKernel, TemplateFunction, TemplateSystem
 from .learn import LogisticModel, PolynomialMap, TrainConfig
 from .measure import MetricConfig, PersistenceDiagram, PersistenceMeasure, Rectangle
 
@@ -49,19 +50,13 @@ def read_diagram_csv(path: PathLike) -> PersistenceDiagram:
         raise DataError(f"{path}: {exc}") from exc
 
 
-def write_measure_json(path: PathLike, mu: PersistenceMeasure,
-                       cfg: MetricConfig = MetricConfig()) -> None:
-    obj = {
-        "atoms": [{"birth": float(p[0]), "death": float(p[1]), "mass": float(m)}
-                  for p, m in zip(mu.points, mu.masses)],
-        "q": "inf" if math.isinf(cfg.q) else cfg.q,
-    }
-    Path(path).write_text(json.dumps(obj, indent=1) + "\n")
-
-
 def read_measure_json(path: PathLike) -> tuple[PersistenceMeasure, MetricConfig]:
+    """A measure file: {"atoms": [{"birth", "death", "mass"}, ...], "q": number
+    or "inf" (the default)}."""
     try:
         obj = json.loads(Path(path).read_text())
+        if not isinstance(obj, dict):
+            raise ValueError("the top level must be a JSON object")
         q = obj.get("q", "inf")
         q = math.inf if q in ("inf", "Infinity") else float(q)
         atoms = [((a["birth"], a["death"]), a["mass"]) for a in obj["atoms"]]
@@ -84,6 +79,8 @@ def read_point_cloud_csv(path: PathLike) -> np.ndarray:
         raise DataError(f"{path}: invalid point cloud: {exc}") from exc
     if cloud.ndim != 2:
         raise DataError(f"{path}: rows have inconsistent lengths")
+    if not np.all(np.isfinite(cloud)):
+        raise DataError(f"{path}: point coordinates must be finite")
     return cloud
 
 
@@ -99,7 +96,7 @@ def write_template_system_json(path: PathLike, system: TemplateSystem) -> None:
     obj = {
         "kernel": _rect_to_json(system.kernel.support),
         "templates": [_rect_to_json(t.support) for t in system.templates],
-        "frame": system.frame,
+        "frame": BIRTH_PERSISTENCE,
     }
     Path(path).write_text(json.dumps(obj, indent=1) + "\n")
 
@@ -107,11 +104,13 @@ def write_template_system_json(path: PathLike, system: TemplateSystem) -> None:
 def read_template_system_json(path: PathLike) -> TemplateSystem:
     try:
         obj = json.loads(Path(path).read_text())
-        return TemplateSystem(
+        system = TemplateSystem(
             kernel=StepKernel(_rect_from_json(obj["kernel"])),
             templates=tuple(TemplateFunction(_rect_from_json(t)) for t in obj["templates"]),
-            frame=obj.get("frame", "birth-persistence"),
         )
+        if obj.get("frame", BIRTH_PERSISTENCE) != BIRTH_PERSISTENCE:
+            raise ValueError(f"unsupported coordinate frame {obj['frame']!r}")
+        return system
     except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: invalid template system: {exc}") from exc
 

@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,10 @@ def train_logistic(ds: Dataset, pmap: PolynomialMap,
         raise NumericalError("features contain non-finite values")
     n_classes = ds.n_classes
     if n_classes < 2:
-        raise ValueError("need at least two classes")
+        raise DataError("training needs at least two classes")
     counts = np.bincount(y, minlength=n_classes)
     if np.any(counts == 0):
-        raise ValueError(f"every class needs at least one instance; counts {counts.tolist()}")
+        raise DataError(f"every class needs at least one instance; counts {counts.tolist()}")
 
     means, scales = standardize_fit(X)
     Phi = polynomial_expand((X - means) / scales, pmap)
@@ -216,8 +216,8 @@ def train_test_split(ds: Dataset, ratio: float, seed: int) -> tuple[Dataset, Dat
     for c in range(ds.n_classes):
         members = np.flatnonzero(ds.y == c)
         if len(members) < 2:
-            raise ValueError(f"class {c} has {len(members)} instance(s); "
-                             "stratified split needs at least 2")
+            raise DataError(f"class {c} has {len(members)} instance(s); "
+                            "stratified split needs at least 2")
         members = members[rng.permutation(len(members))]
         n_train = int(round(ratio * len(members)))
         n_train = min(max(n_train, 1), len(members) - 1)

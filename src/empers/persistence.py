@@ -74,7 +74,7 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class GrayImage:
-    """Grayscale image; ``values`` is a (height, width) float array."""
+    """Grayscale image; ``values`` is a (height, width) array of finite floats."""
 
     values: np.ndarray
 
@@ -82,6 +82,8 @@ class GrayImage:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.size == 0:
             raise ValueError(f"image must be a non-empty 2-D array, got shape {v.shape}")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("image intensities must be finite")
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

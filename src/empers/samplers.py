@@ -38,10 +38,6 @@ class PointCloud:
     def n(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
 
 @dataclass(frozen=True)
 class ShapeSpec:

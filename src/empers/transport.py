@@ -35,7 +35,6 @@ from .measure import (
     DEFAULT_METRIC,
     DIAGONAL,
     MetricConfig,
-    PersistenceDiagram,
     PersistenceMeasure,
     ground_distance_matrix,
     _Diagonal,
@@ -310,23 +309,12 @@ def ot_infinity(mu: PersistenceMeasure, nu: PersistenceMeasure,
     return TransportResult(float(cands[hi]), best, tested)
 
 
-def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram,
-               cfg: MetricConfig = DEFAULT_METRIC) -> float:
-    """Bottleneck distance: the transport distance of the unit-mass measures."""
-    return ot_infinity(PersistenceMeasure.from_diagram(d1),
-                       PersistenceMeasure.from_diagram(d2), cfg).distance
-
-
 @dataclass(frozen=True)
 class MarginalViolation:
     side: str  # "source" or "target"
     atom_index: int
     expected: float
     actual: float
-
-    @property
-    def discrepancy(self) -> float:
-        return abs(self.expected - self.actual)
 
 
 def verify_coupling(pi: Coupling, tol: float = 1e-9) -> list[MarginalViolation]:

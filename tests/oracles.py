@@ -2,27 +2,42 @@
 
 Each oracle recomputes a quantity that the library computes by a different
 route: brute-force minimization instead of closed forms, exhaustive matching
-enumeration instead of max-flow feasibility search, homology boundary
+enumeration (on the scalar ``ground_distance``, with ``_norm_q``) instead of
+max-flow feasibility search on ``ground_distance_matrix``, homology boundary
 reductions (dense naive, and bitmask columns over the full simplex list)
 instead of the Kruskal sweep and edge-coboundary reduction, and flood-fill
 component ranks instead of the elder-rule union-find sweep.
 
 Reference helpers that only tests call also live here: ``kde_eval``,
 ``convolve_step``, ``convolve_quadrature``, and ``cross_entropy_loss`` with
-``cross_entropy_grad`` (the library's gradient) for finite differences.
+``cross_entropy_grad`` (the library's gradient) for finite differences; the
+measure functionals ``pers_infinity``, ``truncate`` and ``integrate``;
+``bottleneck`` (``ot_infinity`` of unit-mass diagrams); the compactness
+witness ``counterexample_family``; and ``write_measure_json``, which writes
+the measure files that the CLI reads.
 """
 from __future__ import annotations
 
+import json
 import math
 from itertools import combinations, permutations
+from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from empers.features import StepKernel, TemplateFunction
 from empers.learn import _loss_and_grad
-from empers.measure import MetricConfig, PersistenceDiagram, diag_distance, ground_distance
+from empers.measure import (
+    DEFAULT_METRIC,
+    DIAGONAL,
+    MetricConfig,
+    PersistenceDiagram,
+    PersistenceMeasure,
+    diag_distance,
+)
 from empers.persistence import CAP, DistanceMatrix, FiltrationOptions
+from empers.transport import ot_infinity
 
 
 def diag_distance_grid(point, q: float, n_grid: int = 2_000_001) -> float:
@@ -35,6 +50,30 @@ def diag_distance_grid(point, q: float, n_grid: int = 2_000_001) -> float:
     else:
         vals = (db ** q + dd ** q) ** (1.0 / q)
     return float(vals.min())
+
+
+def _norm_q(dx: float, dy: float, q: float) -> float:
+    dx, dy = abs(dx), abs(dy)
+    if math.isinf(q):
+        return max(dx, dy)
+    if q == 1.0:
+        return dx + dy
+    if q == 2.0:
+        return math.hypot(dx, dy)
+    return (dx ** q + dy ** q) ** (1.0 / q)
+
+
+def ground_distance(x, y, cfg: MetricConfig = DEFAULT_METRIC) -> float:
+    """Pseudometric on W + {DIAGONAL}, one pair at a time: the smaller of the
+    direct q-norm and the route through the diagonal."""
+    if x is DIAGONAL and y is DIAGONAL:
+        return 0.0
+    if x is DIAGONAL:
+        return diag_distance(y, cfg)
+    if y is DIAGONAL:
+        return diag_distance(x, cfg)
+    direct = _norm_q(float(x[0]) - float(y[0]), float(x[1]) - float(y[1]), cfg.q)
+    return min(direct, diag_distance(x, cfg) + diag_distance(y, cfg))
 
 
 def matching_ot(d1: PersistenceDiagram, d2: PersistenceDiagram,
@@ -331,8 +370,8 @@ def kde_eval(diagrams: Sequence[PersistenceDiagram], kernel: StepKernel,
     for d in diagrams:
         if len(d):
             diffs = x[None, :] - d.points
-            inside = ((np.abs(diffs[:, 0]) <= kernel.half_width_x)
-                      & (np.abs(diffs[:, 1]) <= kernel.half_width_y))
+            inside = ((np.abs(diffs[:, 0]) <= kernel.support.x_max)
+                      & (np.abs(diffs[:, 1]) <= kernel.support.y_max))
             total += inside.sum() / kernel.support.area
     return total / len(diagrams)
 
@@ -371,3 +410,53 @@ def cross_entropy_loss(W: np.ndarray, Phi: np.ndarray, y: np.ndarray, l2: float)
 
 def cross_entropy_grad(W: np.ndarray, Phi: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
     return _loss_and_grad(W, Phi, np.eye(W.shape[1])[y], l2)[1]
+
+
+def pers_infinity(mu: PersistenceMeasure, cfg: MetricConfig = DEFAULT_METRIC) -> float:
+    """Supremal distance to the diagonal over the atoms; 0 for the empty measure."""
+    if mu.n_atoms == 0:
+        return 0.0
+    return float(np.max(mu.persistences)) * cfg.diag_factor
+
+
+def truncate(mu: PersistenceMeasure, eps: float) -> PersistenceMeasure:
+    """Restriction of the measure to the band {death - birth > eps}."""
+    if eps <= 0:
+        raise ValueError(f"eps must be > 0, got {eps}")
+    keep = mu.persistences > eps
+    return PersistenceMeasure(zip(mu.points[keep], mu.masses[keep]))
+
+
+def integrate(mu: PersistenceMeasure, f: Callable[[float, float], float]) -> float:
+    """Integral of f against the atomic measure: sum of mass * f(birth, death)."""
+    return float(sum(m * f(p[0], p[1]) for p, m in zip(mu.points, mu.masses)))
+
+
+def bottleneck(d1: PersistenceDiagram, d2: PersistenceDiagram,
+               cfg: MetricConfig = DEFAULT_METRIC) -> float:
+    """Bottleneck distance: the transport distance of the unit-mass measures."""
+    return ot_infinity(PersistenceMeasure((p, 1.0) for p in d1.points),
+                       PersistenceMeasure((p, 1.0) for p in d2.points), cfg).distance
+
+
+def counterexample_family(x: tuple[float, float], n: int) -> list[PersistenceMeasure]:
+    """The family {(1/k) * dirac at x : k = 1..n}.
+
+    Passes all three necessary conditions of ``empers.compactness`` with
+    finite profiles, yet all pairwise distances equal d(x, diagonal), so it
+    is not relatively compact.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    return [PersistenceMeasure([(x, 1.0 / k)]) for k in range(1, n + 1)]
+
+
+def write_measure_json(path, mu: PersistenceMeasure,
+                       cfg: MetricConfig = DEFAULT_METRIC) -> None:
+    """A measure file in the format ``empers.io.read_measure_json`` reads."""
+    obj = {
+        "atoms": [{"birth": float(p[0]), "death": float(p[1]), "mass": float(m)}
+                  for p, m in zip(mu.points, mu.masses)],
+        "q": "inf" if math.isinf(cfg.q) else cfg.q,
+    }
+    Path(path).write_text(json.dumps(obj, indent=1) + "\n")

@@ -6,9 +6,9 @@ import pytest
 
 from empers import experiment, io
 from empers.cli import build_parser, main
-from empers.compactness import counterexample_family
 from empers.features import StepKernel, TemplateSystem, template_grid
-from empers.measure import BirthDeathPoint, MetricConfig, PersistenceMeasure, Rectangle, truncate
+from empers.measure import MetricConfig, PersistenceMeasure, Rectangle
+from oracles import counterexample_family, truncate, write_measure_json
 
 TINY_CONFIG = {
     "shapes": [
@@ -39,15 +39,15 @@ class TestDistanceCommand:
     def test_identical_files_give_zero(self, tmp_path, capsys):
         mu = PersistenceMeasure([((0, 1), 1.0), ((2, 5), 0.5)])
         a = tmp_path / "a.json"
-        io.write_measure_json(a, mu)
+        write_measure_json(a, mu)
         assert main(["distance", str(a), str(a)]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["ot_infinity"] == 0.0
 
     def test_dirac_pair_prints_diagonal_distance(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        io.write_measure_json(a, PersistenceMeasure([((0, 1), 1.0)]))
-        io.write_measure_json(b, PersistenceMeasure([((0, 1), 2.0)]))
+        write_measure_json(a, PersistenceMeasure([((0, 1), 1.0)]))
+        write_measure_json(b, PersistenceMeasure([((0, 1), 2.0)]))
         coupling_out = tmp_path / "coupling.json"
         assert main(["distance", str(a), str(b), "--coupling", str(coupling_out)]) == 0
         out = json.loads(capsys.readouterr().out)
@@ -59,18 +59,18 @@ class TestDistanceCommand:
     def test_truncation_distance_within_eps(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         b = rng.uniform(-1, 1, 10)
-        mu = PersistenceMeasure.from_arrays(
-            np.column_stack([b, b + rng.uniform(0.05, 2, 10)]), rng.uniform(0.1, 1, 10))
+        mu = PersistenceMeasure(zip(
+            np.column_stack([b, b + rng.uniform(0.05, 2, 10)]), rng.uniform(0.1, 1, 10)))
         a, t = tmp_path / "a.json", tmp_path / "t.json"
-        io.write_measure_json(a, mu)
-        io.write_measure_json(t, truncate(mu, 0.5))
+        write_measure_json(a, mu)
+        write_measure_json(t, truncate(mu, 0.5))
         assert main(["distance", str(a), str(t)]) == 0
         assert json.loads(capsys.readouterr().out)["ot_infinity"] <= 0.5 + 1e-9
 
     def test_q_mismatch_is_a_data_error(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
-        io.write_measure_json(a, PersistenceMeasure(), MetricConfig(1.0))
-        io.write_measure_json(b, PersistenceMeasure(), MetricConfig(2.0))
+        write_measure_json(a, PersistenceMeasure(), MetricConfig(1.0))
+        write_measure_json(b, PersistenceMeasure(), MetricConfig(2.0))
         assert main(["distance", str(a), str(b)]) == 3
         assert main(["distance", str(a), str(b), "--q", "inf"]) == 0
 
@@ -80,7 +80,7 @@ class TestDistanceCommand:
 
     def test_q_below_one_is_a_config_error(self, tmp_path, capsys):
         a = tmp_path / "a.json"
-        io.write_measure_json(a, PersistenceMeasure([((0, 1), 1.0)]))
+        write_measure_json(a, PersistenceMeasure([((0, 1), 1.0)]))
         assert main(["distance", str(a), str(a), "--q", "0.5"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.splitlines()) == 1
@@ -90,8 +90,8 @@ class TestDiagnoseCommand:
     def test_counterexample_family_report(self, tmp_path, capsys):
         d = tmp_path / "family"
         d.mkdir()
-        for i, mu in enumerate(counterexample_family(BirthDeathPoint(0, 1), 6)):
-            io.write_measure_json(d / f"m{i}.json", mu)
+        for i, mu in enumerate(counterexample_family((0, 1), 6)):
+            write_measure_json(d / f"m{i}.json", mu)
         assert main(["diagnose", "--measures", str(d), "--eps", "0.25", "0.5",
                      "--bands", "1", "5"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -103,7 +103,7 @@ class TestDiagnoseCommand:
     def test_singleton_directory(self, tmp_path, capsys):
         d = tmp_path / "one"
         d.mkdir()
-        io.write_measure_json(d / "m.json", PersistenceMeasure([((0, 2), 1.0)]))
+        write_measure_json(d / "m.json", PersistenceMeasure([((0, 2), 1.0)]))
         assert main(["diagnose", "--measures", str(d)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["diameter_upper_bound"] == 0.0
@@ -118,7 +118,7 @@ class TestDiagnoseCommand:
     def test_bad_argument_values_are_config_errors(self, tmp_path, capsys, flags):
         d = tmp_path / "family"
         d.mkdir()
-        io.write_measure_json(d / "m0.json", PersistenceMeasure([((0, 1), 1.0)]))
+        write_measure_json(d / "m0.json", PersistenceMeasure([((0, 1), 1.0)]))
         assert main(["diagnose", "--measures", str(d), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and len(err.splitlines()) == 1
@@ -129,9 +129,9 @@ class TestDiagnoseCommand:
         rng = np.random.default_rng(3)
         for i in range(4):
             b = rng.uniform(-4, 4, 5)
-            mu = PersistenceMeasure.from_arrays(
-                np.column_stack([b, b + rng.uniform(0.1, 3, 5)]), rng.uniform(0.2, 2, 5))
-            io.write_measure_json(d / f"m{i}.json", mu)
+            mu = PersistenceMeasure(zip(
+                np.column_stack([b, b + rng.uniform(0.1, 3, 5)]), rng.uniform(0.2, 2, 5)))
+            write_measure_json(d / f"m{i}.json", mu)
         assert main(["diagnose", "--measures", str(d), "--eps", "0.2", "0.8", "2.0",
                      "--bands", "1", "3", "8"]) == 0
         report = json.loads(capsys.readouterr().out)
@@ -337,7 +337,7 @@ class TestFlags:
 
     def test_distance_out_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.json"
-        io.write_measure_json(a, PersistenceMeasure([((0, 1), 1.0)]))
+        write_measure_json(a, PersistenceMeasure([((0, 1), 1.0)]))
         with pytest.raises(SystemExit) as exc:
             main(["distance", str(a), str(a), "--out", "x"])
         assert exc.value.code == 2
@@ -363,6 +363,46 @@ class TestExitCodes:
         p = tmp_path / "bad.json"
         p.write_text('{"atoms": "nope"}')
         assert main(["distance", str(p), str(p)]) == 3
+
+    @pytest.mark.parametrize("config", [
+        {"shapes": 3},
+        {"samples_per_object": 5},
+        {"shapes": [{"kind": "torus", "instances": "x"}]},
+        {"kernel_rectangle": [1, 2]},
+    ], ids=["shapes-number", "samples-number", "instances-string", "kernel-two-values"])
+    def test_wrongly_typed_config_field_is_config_error(self, tmp_path, capsys, config):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(config))
+        assert main(["sample", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        assert_one_line_error(capsys, "config error:")
+        assert not (tmp_path / "o").exists()
+
+    def test_measure_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
+        family = tmp_path / "family"
+        family.mkdir()
+        write_measure_json(family / "ok.json", PersistenceMeasure([((0, 1), 1.0)]))
+        (family / "m.json").write_text("[1, 2]")
+        assert main(["distance", str(family / "ok.json"), str(family / "m.json")]) == 3
+        assert_one_line_error(capsys, "data error:")
+        assert main(["diagnose", "--measures", str(family)]) == 3
+        assert_one_line_error(capsys, "data error:")
+
+    @pytest.mark.parametrize("shapes", [
+        [{"kind": "circle", "instances": 2}],
+        [{"kind": "circle", "instances": 1}, {"kind": "annulus", "instances": 1}],
+    ], ids=["one-class", "one-instance-per-class"])
+    def test_run_too_small_to_train_is_data_error(self, tmp_path, capsys, shapes):
+        cfgp = write_tiny_config(tmp_path, shapes=shapes)
+        assert main(["run-experiment", "--config", str(cfgp), "--out", str(tmp_path / "r")]) == 3
+        assert_one_line_error(capsys, "data error:")
+
+    def test_non_finite_cloud_coordinate_is_data_error(self, tmp_path, capsys):
+        clouds = tmp_path / "clouds"
+        clouds.mkdir()
+        (clouds / "circle__0000__0000.csv").write_text("0.0,1.0\nnan,0\n")
+        assert main(["diagram", "--config", str(write_tiny_config(tmp_path)),
+                     "--in", str(clouds), "--out", str(tmp_path / "d")]) == 3
+        assert_one_line_error(capsys, "data error:")
 
 
 class TestConvergenceWarning:

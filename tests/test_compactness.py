@@ -1,15 +1,10 @@
 import numpy as np
 import pytest
 
-from empers.compactness import (
-    build_report,
-    counterexample_family,
-    diameter_bound,
-    odut_profile,
-    uodf_profile,
-)
-from empers.measure import BirthDeathPoint, MetricConfig, PersistenceMeasure
+from empers.compactness import build_report, diameter_bound, odut_profile, uodf_profile
+from empers.measure import MetricConfig, PersistenceMeasure
 from empers.transport import ot_infinity
+from oracles import counterexample_family
 
 Q_INF = MetricConfig()
 
@@ -38,8 +33,8 @@ class TestUodfProfile:
         for _ in range(5):
             b = rng.uniform(-2, 2, 6)
             p = rng.uniform(0.1, 3, 6)
-            family.append(PersistenceMeasure.from_arrays(
-                np.column_stack([b, b + p]), rng.uniform(0.2, 2, 6)))
+            family.append(PersistenceMeasure(zip(
+                np.column_stack([b, b + p]), rng.uniform(0.2, 2, 6))))
         eps = [0.1, 0.5, 1.0, 2.0, 3.5]
         prof = uodf_profile(family, eps)
         vals = [prof[e] for e in eps]
@@ -92,8 +87,8 @@ class TestDiameterBound:
         for _ in range(4):
             b = rng.uniform(-1, 1, 3)
             p = rng.uniform(0.1, 2, 3)
-            family.append(PersistenceMeasure.from_arrays(
-                np.column_stack([b, b + p]), rng.uniform(0.5, 2, 3)))
+            family.append(PersistenceMeasure(zip(
+                np.column_stack([b, b + p]), rng.uniform(0.5, 2, 3))))
         diam = diameter_bound(family, Q_INF)
         for i in range(4):
             for j in range(4):
@@ -102,16 +97,16 @@ class TestDiameterBound:
 
 class TestCounterexampleFamily:
     def test_masses_are_reciprocals(self):
-        fam = counterexample_family(BirthDeathPoint(0, 1), 3)
+        fam = counterexample_family((0, 1), 3)
         assert [m.total_mass for m in fam] == pytest.approx([1.0, 0.5, 1 / 3])
         assert all(m.n_atoms == 1 for m in fam)
 
     def test_singleton(self):
-        fam = counterexample_family(BirthDeathPoint(0, 1), 1)
+        fam = counterexample_family((0, 1), 1)
         assert len(fam) == 1 and fam[0].total_mass == 1.0
 
     def test_pairwise_distances_equal_diag_distance(self):
-        fam = counterexample_family(BirthDeathPoint(0, 1), 5)
+        fam = counterexample_family((0, 1), 5)
         for i in range(len(fam)):
             for j in range(i + 1, len(fam)):
                 assert ot_infinity(fam[i], fam[j], Q_INF).distance == 0.5
@@ -119,7 +114,7 @@ class TestCounterexampleFamily:
     def test_necessary_conditions_hold_but_family_does_not_converge(self):
         # all three diagnostics are finite, yet no two members get close:
         # the conditions are necessary, not sufficient
-        fam = counterexample_family(BirthDeathPoint(0, 1), 8)
+        fam = counterexample_family((0, 1), 8)
         report = build_report(fam, eps_list=[0.25, 0.5], n_list=[1, 5], cfg=Q_INF)
         assert report.diameter_upper_bound == 0.5
         assert all(np.isfinite(v) for v in report.uodf.values())

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from empers.errors import DataError
 from empers.features import StepKernel, TemplateFunction, TemplateSystem
 from empers.learn import Dataset, PolynomialMap, TrainConfig, train_logistic
 from empers.measure import MetricConfig, PersistenceDiagram, PersistenceMeasure, Rectangle
+from oracles import write_measure_json
 
 
 class TestDiagramCsv:
@@ -39,7 +41,7 @@ class TestMeasureJson:
     def test_round_trip_with_infinite_q(self, tmp_path):
         mu = PersistenceMeasure([((0, 1), 0.25), ((1, 3), 2.0)])
         path = tmp_path / "m.json"
-        io.write_measure_json(path, mu, MetricConfig())
+        write_measure_json(path, mu, MetricConfig())
         back, cfg = io.read_measure_json(path)
         assert math.isinf(cfg.q)
         assert np.array_equal(back.points, mu.points)
@@ -47,7 +49,7 @@ class TestMeasureJson:
 
     def test_finite_q_round_trip(self, tmp_path):
         path = tmp_path / "m.json"
-        io.write_measure_json(path, PersistenceMeasure(), MetricConfig(2.0))
+        write_measure_json(path, PersistenceMeasure(), MetricConfig(2.0))
         _, cfg = io.read_measure_json(path)
         assert cfg.q == 2.0
 
@@ -57,6 +59,19 @@ class TestMeasureJson:
         with pytest.raises(DataError):
             io.read_measure_json(p)
 
+    def test_non_finite_point_rejected(self, tmp_path):
+        p = tmp_path / "inf.json"
+        p.write_text('{"atoms": [{"birth": 0, "death": Infinity, "mass": 1}]}')
+        with pytest.raises(DataError, match="finite"):
+            io.read_measure_json(p)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"atoms"', "3", "null"])
+    def test_top_level_must_be_an_object(self, tmp_path, text):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        with pytest.raises(DataError, match="JSON object"):
+            io.read_measure_json(p)
+
 
 class TestMatrixAndCloudCsv:
     def test_point_cloud_round_trip(self, tmp_path):
@@ -64,6 +79,13 @@ class TestMatrixAndCloudCsv:
         path = tmp_path / "pc.csv"
         io.write_point_cloud_csv(path, pts)
         assert np.array_equal(io.read_point_cloud_csv(path), pts)
+
+    @pytest.mark.parametrize("row", ["nan,0", "0,inf", "-inf,1"])
+    def test_non_finite_coordinate_rejected(self, tmp_path, row):
+        path = tmp_path / "pc.csv"
+        path.write_text(f"0.5,0.5\n{row}\n")
+        with pytest.raises(DataError, match="finite"):
+            io.read_point_cloud_csv(path)
 
 
 class TestTemplateSystemJson:
@@ -77,7 +99,18 @@ class TestTemplateSystemJson:
         back = io.read_template_system_json(path)
         assert back.kernel.support == system.kernel.support
         assert [t.support for t in back.templates] == [t.support for t in system.templates]
-        assert back.frame == "birth-persistence"
+        assert json.loads(path.read_text())["frame"] == "birth-persistence"
+
+    def test_other_frame_rejected(self, tmp_path):
+        path = tmp_path / "sys.json"
+        io.write_template_system_json(path, TemplateSystem(
+            StepKernel.from_half_widths(0.1, 0.1), (TemplateFunction(Rectangle(0, 1, 0, 1)),)))
+        obj = json.loads(path.read_text())
+        path.write_text(json.dumps(dict(obj, frame="birth-death")))
+        with pytest.raises(DataError, match="frame"):
+            io.read_template_system_json(path)
+        path.write_text(json.dumps({k: v for k, v in obj.items() if k != "frame"}))
+        assert len(io.read_template_system_json(path)) == 1
 
 
 class TestFeatureCsv:

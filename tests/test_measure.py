@@ -7,20 +7,15 @@ from hypothesis import strategies as st
 
 from empers.measure import (
     DIAGONAL,
-    BirthDeathPoint,
     MetricConfig,
     PersistenceDiagram,
     PersistenceMeasure,
     Rectangle,
     diag_distance,
-    ground_distance,
     ground_distance_matrix,
-    integrate,
     mass_above,
-    pers_infinity,
-    truncate,
 )
-from oracles import diag_distance_grid
+from oracles import diag_distance_grid, ground_distance, integrate, pers_infinity, truncate
 
 Q_INF = MetricConfig()
 Q1 = MetricConfig(1.0)
@@ -63,15 +58,21 @@ class TestDiagDistance:
             diag_distance_grid(p, q, n_grid=400_001), abs=2e-4)
 
 
+def gd(x, y, cfg=Q_INF) -> float:
+    """The library's ground distance between two single points."""
+    return float(ground_distance_matrix([x], [y], cfg)[0, 0])
+
+
 class TestGroundDistance:
     def test_direct_equals_via_diagonal(self):
-        assert ground_distance((0, 1), (0, 3), Q_INF) == 2.0
+        assert gd((0, 1), (0, 3)) == 2.0
 
     def test_via_diagonal_wins_for_far_points(self):
-        assert ground_distance((0, 1), (10, 10.2), Q_INF) == pytest.approx(0.6)
+        assert gd((0, 1), (10, 10.2)) == pytest.approx(0.6)
 
     def test_distance_to_diagonal_token(self):
-        assert ground_distance((1, 2), DIAGONAL, Q_INF) == 0.5
+        # the oracle's diagonal token costs the library's diagonal distance
+        assert ground_distance((1, 2), DIAGONAL, Q_INF) == diag_distance((1, 2), Q_INF) == 0.5
         assert ground_distance(DIAGONAL, (1, 2), Q_INF) == 0.5
         assert ground_distance(DIAGONAL, DIAGONAL, Q_INF) == 0.0
 
@@ -79,21 +80,18 @@ class TestGroundDistance:
            st.sampled_from([1.0, 2.0, math.inf]))
     def test_symmetry(self, x, y, q):
         cfg = MetricConfig(q)
-        assert ground_distance(x, y, cfg) == ground_distance(y, x, cfg)
+        assert gd(x, y, cfg) == gd(y, x, cfg)
 
     @given(finite_points(), finite_points(), finite_points(),
            st.sampled_from([1.0, 2.0, math.inf]))
     def test_triangle_inequality(self, x, y, z, q):
         cfg = MetricConfig(q)
-        assert (ground_distance(x, z, cfg)
-                <= ground_distance(x, y, cfg) + ground_distance(y, z, cfg) + 1e-12)
+        assert gd(x, z, cfg) <= gd(x, y, cfg) + gd(y, z, cfg) + 1e-12
 
     @given(finite_points(), finite_points())
     def test_triangle_through_diagonal(self, x, y):
         # the diagonal acts as a point of the pseudometric space
-        assert (ground_distance(x, y, Q_INF)
-                <= ground_distance(x, DIAGONAL, Q_INF)
-                + ground_distance(DIAGONAL, y, Q_INF) + 1e-12)
+        assert gd(x, y) <= diag_distance(x) + diag_distance(y) + 1e-12
 
     def test_matrix_agrees_with_scalar(self):
         rng = np.random.default_rng(7)
@@ -152,18 +150,23 @@ class TestTruncate:
             truncate(PersistenceMeasure(), 0.0)
 
 
+def just_above(eps: float) -> float:
+    """The next float above eps: persistence > eps iff persistence >= this."""
+    return float(np.nextafter(eps, math.inf))
+
+
 class TestMassAbove:
     def test_closed_vs_open(self):
         mu = PersistenceMeasure([((0, 1), 2.0), ((0, 3), 0.5)])
-        assert mass_above(mu, 1.0, closed=True) == 2.5
-        assert mass_above(mu, 1.0, closed=False) == 0.5
+        assert mass_above(mu, 1.0) == 2.5
+        assert mass_above(mu, just_above(1.0)) == 0.5
 
     def test_empty(self):
         assert mass_above(PersistenceMeasure(), 2.0) == 0.0
 
     @given(small_measures())
     def test_open_at_zero_is_total_mass(self, mu):
-        assert mass_above(mu, 0.0, closed=False) == pytest.approx(mu.total_mass)
+        assert mass_above(mu, just_above(0.0)) == pytest.approx(mu.total_mass)
 
     @given(small_measures(), st.floats(0.1, 2.0), st.floats(0.1, 2.0))
     def test_monotone_in_eps(self, mu, e1, e2):
@@ -203,14 +206,28 @@ class TestIntegrate:
 
 class TestTypes:
     def test_point_requires_birth_before_death(self):
-        with pytest.raises(ValueError):
-            BirthDeathPoint(1.0, 1.0)
-        with pytest.raises(ValueError):
-            BirthDeathPoint(2.0, 1.0)
+        for point in ((1.0, 1.0), (2.0, 1.0)):
+            with pytest.raises(ValueError):
+                PersistenceDiagram([point])
+            with pytest.raises(ValueError):
+                PersistenceMeasure([(point, 1.0)])
 
     def test_point_requires_finite_coordinates(self):
         with pytest.raises(ValueError):
-            BirthDeathPoint(0.0, math.inf)
+            PersistenceDiagram([(0.0, math.inf)])
+        with pytest.raises(ValueError, match="finite"):
+            PersistenceMeasure([((0.0, math.inf), 1.0)])
+
+    @pytest.mark.parametrize("points", [[(0.0, 1.0, 2.0)], [0.0, 1.0], [[(0.0, 1.0)]]])
+    def test_points_must_be_pairs(self, points):
+        with pytest.raises(ValueError):
+            PersistenceDiagram(points)
+
+    def test_array_and_pairs_give_the_same_points(self):
+        pairs = [(0, 1), (0.5, 2.25)]
+        assert np.array_equal(PersistenceDiagram(pairs).points,
+                              PersistenceDiagram(np.array(pairs, dtype=float)).points)
+        assert PersistenceDiagram(np.empty((0, 2))).points.shape == (0, 2)
 
     def test_measure_drops_zero_mass_atoms(self):
         mu = PersistenceMeasure([((0, 1), 0.0), ((0, 2), 1.5)])
@@ -235,9 +252,8 @@ class TestTypes:
         with pytest.raises(ValueError):
             MetricConfig(0.5)
 
-    def test_rectangle_area_and_contains(self):
+    def test_rectangle_area_and_orientation(self):
         r = Rectangle(0, 2, -1, 1)
-        assert r.area == 4.0
-        assert r.contains(0, 0) and not r.contains(3, 0)
+        assert (r.width, r.height, r.area) == (2, 2, 4.0)
         with pytest.raises(ValueError):
             Rectangle(1, 0, 0, 1)

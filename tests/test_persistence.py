@@ -281,6 +281,11 @@ class TestImageSublevelH0:
         if extra:
             assert extra[0][0] == img.min()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_pixels_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GrayImage(np.array([[0.0, bad, 1.0, 0.0]]))
+
 
 def assert_same_ordered_image_diagram(values, policy):
     got = image_sublevel_h0(GrayImage(values), FiltrationOptions(essential_policy=policy))

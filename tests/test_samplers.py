@@ -26,7 +26,7 @@ def manifold_residual(spec: ShapeSpec, pts: np.ndarray) -> np.ndarray:
 class TestSampleShape:
     def test_circle_points_on_manifold(self):
         pc = sample_shape(ShapeSpec("circle", n=4, seed=1, radius=1.0))
-        assert pc.n == 4 and pc.dim == 2
+        assert pc.points.shape == (4, 2)
         assert np.all(np.abs(np.linalg.norm(pc.points, axis=1) - 1.0) < 1e-12)
 
     @pytest.mark.parametrize("spec", [
