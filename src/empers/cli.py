@@ -146,7 +146,8 @@ def cmd_distance(args) -> int:
                   "target": "diagonal" if p.target is DIAGONAL else int(p.target),
                   "mass": p.mass} for p in result.coupling.pairs]
         io.write_json(args.coupling, {"ot_infinity": result.distance, "pairs": pairs,
-                                      "thresholds_tested": result.thresholds_tested})
+                                      "thresholds_tested": result.thresholds_tested,
+                                      "solver": result.solver})
     return 0
 
 

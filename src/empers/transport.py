@@ -3,31 +3,48 @@
 The distance is the smallest worst-pair cost over couplings that may create
 or destroy mass at the diagonal. For finite atomic measures the optimum is
 attained at one of finitely many candidate thresholds (the pairwise ground
-distances and the distances to the diagonal), and feasibility at a threshold
-reduces to a max-flow saturation check after augmenting each side with a
-diagonal atom carrying the other side's total mass.
+distances and the distances to the diagonal), and feasibility is monotone
+in the threshold. ``ot_infinity`` therefore computes the masses, the ground
+distances and the diagonal distances of a pair once, binary-searches the
+candidates with a yes/no decision per threshold, and extracts an optimal
+coupling once, at the threshold found, by ``feasible_at``.
 
 Masses are converted to integers exactly: floats are dyadic rationals, so
 all masses are integer multiples of one power of two, and the integers are
 then divided by their greatest common divisor. Saturation and the ratio of a
 pair's flow to its atom's capacity do not change under a common scale, so
 feasibility decisions are exact and extracted couplings satisfy the marginal
-conditions to float round-off. Measures whose atoms all carry one mass, such
-as the expected measures at mass 1/m, get unit capacities.
+conditions to float round-off.
 
-The flow network is built with numpy and solved by one of two max-flow
-solvers, chosen by exactness alone: scipy's compiled ``maximum_flow`` when
-the total capacity fits in int32, and otherwise an arbitrary-precision Dinic
-in Python on the same edge arrays (``maximum_flow`` stores capacities as
-int32 and gives wrong flows on larger ones). Either returns an optimal
-coupling; when several exist, the two may return different ones.
+Single-mass pairs, such as two expected measures at mass 1/m, reduce to
+unit capacities. A coupling at threshold t is then a matching, along edges
+of ground distance <= t, that covers the set A of mu atoms and the set B of
+nu atoms farther than t from the diagonal; every other atom goes to the
+diagonal, and the diagonal-to-diagonal cell carries the rest. Coincident
+atoms stay separate unit atoms. Such a matching exists exactly when one
+matching covers A and another covers B (Mendelsohn-Dulmage): the union of
+the two splits into alternating paths and cycles, and on each of them one
+of the two matchings covers every vertex of A and of B (the first, unless
+the component is a path ending in B at an edge of the second). So a
+threshold is decided by two calls to scipy's compiled Hopcroft-Karp
+``maximum_bipartite_matching``.
+
+Pairs with mixed masses are decided by max flow after augmenting each side
+with a diagonal atom carrying the other side's total mass, and so is every
+extracted coupling. The flow network is built with numpy and solved by one
+of two max-flow solvers, chosen by exactness alone: scipy's compiled
+``maximum_flow`` when the total capacity fits in int32, and otherwise an
+arbitrary-precision Dinic in Python on the same edge arrays
+(``maximum_flow`` stores capacities as int32 and gives wrong flows on larger
+ones). Either returns an optimal coupling; when several exist, the two may
+return different ones.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -68,9 +85,15 @@ class Coupling:
 
 @dataclass(frozen=True)
 class TransportResult:
+    """The distance, an optimal coupling, the number of thresholds decided
+    (the final coupling's included) and the solver that decided the search:
+    ``"matching"``, ``"int32 flow"``, ``"exact flow"``, or ``"none"`` when
+    both measures are empty."""
+
     distance: float
     coupling: Coupling
     thresholds_tested: int
+    solver: str
 
 
 class _Dinic:
@@ -183,22 +206,31 @@ def _diag_distances(points: np.ndarray, cfg: MetricConfig) -> np.ndarray:
     return (points[:, 1] - points[:, 0]) * cfg.diag_factor
 
 
-def feasible_at(mu: PersistenceMeasure, nu: PersistenceMeasure, t: float,
-                cfg: MetricConfig = DEFAULT_METRIC) -> Optional[Coupling]:
-    """Return a coupling with worst-pair cost <= t, or None if none exists.
+class _Pair(NamedTuple):
+    """What feasibility needs of two measures at any threshold: the quantized
+    masses, the ground distances between their atoms and each atom's distance
+    to the diagonal."""
 
-    Each side is augmented with a diagonal atom carrying the opposite side's
-    total mass; an edge is admitted exactly when its ground distance is <= t
-    (closed comparison, no epsilon), and the diagonal-to-diagonal edge is
-    always admitted. Feasibility is a saturation check for the max flow.
-    """
-    if t < 0:
-        raise ValueError(f"threshold must be >= 0, got {t}")
-    n, m = mu.n_atoms, nu.n_atoms
-    if n == 0 and m == 0:
-        return Coupling(pairs=(), mu=mu, nu=nu)
+    u: list[int]
+    v: list[int]
+    gd: np.ndarray
+    du: np.ndarray
+    dv: np.ndarray
 
-    u_int, v_int = _quantize(mu.masses, nu.masses)
+
+def _pair(mu: PersistenceMeasure, nu: PersistenceMeasure, cfg: MetricConfig) -> _Pair:
+    u, v = _quantize(mu.masses, nu.masses)
+    return _Pair(u, v, ground_distance_matrix(mu.points, nu.points, cfg),
+                 _diag_distances(mu.points, cfg), _diag_distances(nu.points, cfg))
+
+
+def _saturating_flow(pair: _Pair, t: float
+                     ) -> Optional[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """A max flow that saturates the network at threshold t, or None if the
+    max flow falls short: the admitted edges as (mu atom, nu atom) index
+    arrays, with -1 for the diagonal, and the flow on each edge."""
+    u_int, v_int = pair.u, pair.v
+    n, m = len(u_int), len(v_int)
     total_u, total_v = sum(u_int), sum(v_int)
     total = total_u + total_v
 
@@ -213,15 +245,11 @@ def feasible_at(mu: PersistenceMeasure, nu: PersistenceMeasure, t: float,
     term_tails = np.concatenate([np.zeros(n + 1, dtype=np.intp), np.arange(nu_base, n_nodes)])
     term_heads = np.concatenate([np.arange(mu_base, nu_base), np.ones(m + 1, dtype=np.intp)])
 
-    # admitted middle edges as (mu atom, nu atom) with -1 for the diagonal:
-    # atom pairs, atoms to the diagonal, the diagonal to atoms, then the
-    # diagonal-to-diagonal edge (free, not extracted)
-    if n and m:
-        ii, jj = np.nonzero(ground_distance_matrix(mu.points, nu.points, cfg) <= t)
-    else:
-        ii = jj = np.empty(0, dtype=np.intp)
-    di = np.flatnonzero(_diag_distances(mu.points, cfg) <= t)
-    dj = np.flatnonzero(_diag_distances(nu.points, cfg) <= t)
+    # admitted middle edges: atom pairs, atoms to the diagonal, the diagonal
+    # to atoms, then the diagonal-to-diagonal edge (free, not extracted)
+    ii, jj = np.nonzero(pair.gd <= t)
+    di = np.flatnonzero(pair.du <= t)
+    dj = np.flatnonzero(pair.dv <= t)
     src_atom = np.concatenate([ii, di, np.full(len(dj) + 1, -1)])
     tgt_atom = np.concatenate([jj, np.full(len(di), -1), dj, [-1]])
     tails = np.concatenate([term_tails, np.where(src_atom < 0, mu_diag, mu_base + src_atom)])
@@ -235,18 +263,72 @@ def feasible_at(mu: PersistenceMeasure, nu: PersistenceMeasure, t: float,
                                       term_caps + [total] * len(src_atom))
     if value != total:
         return None
+    return src_atom[:-1], tgt_atom[:-1], flow[len(term_caps):-1]
 
-    middle_flow = flow[len(term_caps):-1]
+
+def _flow_feasible(pair: _Pair, t: float) -> bool:
+    return _saturating_flow(pair, t) is not None
+
+
+def _covers_rows(admitted: np.ndarray) -> bool:
+    """Whether one matching of the bipartite graph with boolean adjacency
+    matrix ``admitted`` (rows to columns) covers every row."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
+    n_rows, n_cols = admitted.shape
+    if n_rows == 0:
+        return True
+    degrees = np.count_nonzero(admitted, axis=1)
+    if n_rows > n_cols or not degrees.all():
+        return False
+    # CSR arrays built directly: flatnonzero is row-major, and much cheaper
+    # than the 2-d nonzero or a conversion from the dense matrix
+    indptr = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int32)
+    indices = (np.flatnonzero(admitted) % n_cols).astype(np.int32)
+    graph = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr),
+                       shape=admitted.shape)
+    return bool(np.all(maximum_bipartite_matching(graph, perm_type="column") >= 0))
+
+
+def _matching_feasible(pair: _Pair, t: float) -> bool:
+    """Feasibility at t of a pair whose atoms all have unit capacity: the mu
+    atoms farther than t from the diagonal match into nu, and the nu atoms
+    farther than t match into mu, along edges of ground distance <= t."""
+    admitted = pair.gd <= t
+    return (_covers_rows(admitted[pair.du > t])
+            and _covers_rows(admitted[:, pair.dv > t].T))
+
+
+def feasible_at(mu: PersistenceMeasure, nu: PersistenceMeasure, t: float,
+                cfg: MetricConfig = DEFAULT_METRIC) -> Optional[Coupling]:
+    """Return a coupling with worst-pair cost <= t, or None if none exists.
+
+    Each side is augmented with a diagonal atom carrying the opposite side's
+    total mass; an edge is admitted exactly when its ground distance is <= t
+    (closed comparison, no epsilon), and the diagonal-to-diagonal edge is
+    always admitted. Feasibility is a saturation check for the max flow.
+    """
+    if t < 0:
+        raise ValueError(f"threshold must be >= 0, got {t}")
+    if mu.n_atoms == 0 and nu.n_atoms == 0:
+        return Coupling(pairs=(), mu=mu, nu=nu)
+
+    pair = _pair(mu, nu, cfg)
+    found = _saturating_flow(pair, t)
+    if found is None:
+        return None
+    src_atom, tgt_atom, middle_flow = found
     pairs = []
     for k in np.flatnonzero(middle_flow > 0).tolist():
         a, b, f = int(src_atom[k]), int(tgt_atom[k]), int(middle_flow[k])
         # express the pair mass as a fraction of the exact atom mass so that
         # marginals match the original measures to float round-off
         if a < 0:
-            pairs.append(CouplingPair(DIAGONAL, b, float(nu.masses[b]) * (f / v_int[b])))
+            pairs.append(CouplingPair(DIAGONAL, b, float(nu.masses[b]) * (f / pair.v[b])))
         else:
             pairs.append(CouplingPair(a, DIAGONAL if b < 0 else b,
-                                      float(mu.masses[a]) * (f / u_int[a])))
+                                      float(mu.masses[a]) * (f / pair.u[a])))
     return Coupling(pairs=tuple(pairs), mu=mu, nu=nu)
 
 
@@ -271,42 +353,40 @@ def cost_infinity(pi: Coupling, cfg: MetricConfig = DEFAULT_METRIC) -> float:
     return float(np.concatenate(costs).max())
 
 
-def _candidate_thresholds(mu: PersistenceMeasure, nu: PersistenceMeasure,
-                          cfg: MetricConfig) -> np.ndarray:
-    parts = [np.zeros(1), _diag_distances(mu.points, cfg), _diag_distances(nu.points, cfg)]
-    if mu.n_atoms and nu.n_atoms:
-        parts.append(ground_distance_matrix(mu.points, nu.points, cfg).ravel())
-    return np.unique(np.concatenate(parts))
-
-
 def ot_infinity(mu: PersistenceMeasure, nu: PersistenceMeasure,
                 cfg: MetricConfig = DEFAULT_METRIC) -> TransportResult:
     """Partial infinity-optimal-transport distance with an optimal coupling.
 
     Feasibility is monotone in the threshold and can only change when a new
     edge becomes admissible, so the optimum lies in the finite candidate set
-    of pairwise and diagonal distances; it is located by binary search.
+    of pairwise and diagonal distances; it is located by binary search with
+    a yes/no decision per candidate, and the coupling is extracted once, at
+    the candidate found.
     """
     if mu.n_atoms == 0 and nu.n_atoms == 0:
-        return TransportResult(0.0, Coupling((), mu, nu), 0)
+        return TransportResult(0.0, Coupling((), mu, nu), 0, "none")
 
-    cands = _candidate_thresholds(mu, nu, cfg)
+    pair = _pair(mu, nu, cfg)
+    if max(pair.u + pair.v) == 1:
+        solver, feasible = "matching", _matching_feasible
+    else:
+        solver = "int32 flow" if sum(pair.u) + sum(pair.v) <= _INT32_MAX else "exact flow"
+        feasible = _flow_feasible
+    cands = np.unique(np.concatenate([np.zeros(1), pair.du, pair.dv, pair.gd.ravel()]))
+    # everything may move to the diagonal at the top candidate
     lo, hi = 0, len(cands) - 1
-    best = feasible_at(mu, nu, cands[hi], cfg)
-    tested = 1
-    if best is None:  # cannot happen: everything may move to the diagonal at the top
-        raise AssertionError("transport infeasible at the maximal candidate threshold")
-
+    tested = 0
     while lo < hi:
         mid = (lo + hi) // 2
-        pi = feasible_at(mu, nu, cands[mid], cfg)
         tested += 1
-        if pi is None:
-            lo = mid + 1
-        else:
-            best = pi
+        if feasible(pair, cands[mid]):
             hi = mid
-    return TransportResult(float(cands[hi]), best, tested)
+        else:
+            lo = mid + 1
+    best = feasible_at(mu, nu, cands[hi], cfg)
+    if best is None:  # cannot happen: the search ends at a feasible candidate
+        raise AssertionError(f"transport infeasible at the threshold found, {cands[hi]!r}")
+    return TransportResult(float(cands[hi]), best, tested + 1, solver)
 
 
 @dataclass(frozen=True)

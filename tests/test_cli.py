@@ -56,6 +56,22 @@ class TestDistanceCommand:
         assert {p["target"] for p in coupling["pairs"]} == {0}
         assert {p["source"] for p in coupling["pairs"]} == {0, "diagonal"}
 
+    @pytest.mark.parametrize("masses, solver", [
+        ((1 / 4, 1 / 4, 1 / 4), "matching"),
+        ((1.0, 2.0, 1.0), "int32 flow"),
+        ((1 / 3, 1 / 5, 1 / 3), "exact flow"),
+    ])
+    def test_coupling_file_names_the_solver(self, tmp_path, capsys, masses, solver):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        write_measure_json(a, PersistenceMeasure(zip([(0, 1), (0.5, 3)], masses)))
+        write_measure_json(b, PersistenceMeasure([((0.2, 1.4), masses[2])]))
+        coupling_out = tmp_path / "coupling.json"
+        assert main(["distance", str(a), str(b), "--coupling", str(coupling_out)]) == 0
+        coupling = json.loads(coupling_out.read_text())
+        assert coupling["ot_infinity"] == json.loads(capsys.readouterr().out)["ot_infinity"]
+        assert coupling["solver"] == solver
+        assert coupling["thresholds_tested"] >= 2
+
     def test_truncation_distance_within_eps(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         b = rng.uniform(-1, 1, 10)

@@ -348,11 +348,14 @@ class TestFlowSolvers:
                 assert sum(u) + sum(v) > INT32_MAX
 
     def test_both_solvers_give_the_same_certificate(self, monkeypatch):
+        # masses 1/4 and 1/2 quantize to 1 and 2: the int32 solver decides
+        # the whole search, or the exact one once int32 is ruled out
         rng = np.random.default_rng(53)
         for _ in range(10):
             d1, d2 = random_diagram(rng, max_points=8), random_diagram(rng, max_points=8)
-            mu = uniform_measure(d1, 1 / 3)
-            nu = uniform_measure(d2, 1 / 3)
+            mu = PersistenceMeasure([((-1, 2), 1 / 2)]
+                                    + [(tuple(p), 1 / 4) for p in d1.points])
+            nu = uniform_measure(d2, 1 / 4)
             fast = ot_infinity(mu, nu, Q_INF)
             _assert_certificate(mu, nu, fast)
             monkeypatch.setattr(transport, "_INT32_MAX", -1)
@@ -360,6 +363,7 @@ class TestFlowSolvers:
             monkeypatch.undo()
             assert exact.distance == fast.distance
             _assert_certificate(mu, nu, exact)
+            assert (fast.solver, exact.solver) == ("int32 flow", "exact flow")
 
     @pytest.mark.parametrize("masses", [
         [0.1, 0.2, 0.3, 3.7],
@@ -415,3 +419,125 @@ class TestFlowSolvers:
                     net[v] += x
                 assert net[0] == -value and net[1] == value
                 assert not any(net[2:])
+
+
+def counted(monkeypatch, name):
+    """Replace ``transport.<name>`` by a wrapper that logs each call; returns the log."""
+    calls = []
+    inner = getattr(transport, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(transport, name, wrapper)
+    return calls
+
+
+def thirds_and_fifths(d, rng):
+    return PersistenceMeasure(zip(d.points, np.where(rng.random(len(d)) < 0.5, 1 / 3, 1 / 5)))
+
+
+def random_single_mass_pair(rng):
+    """Two measures whose atoms all carry one mass 1/k; either side may be
+    empty. Every other pair lies on a coarse grid, so atoms coincide within
+    and across the measures and many distances tie."""
+    mass = 1.0 / int(rng.integers(1, 15))
+    coarse = rng.random() < 0.5
+
+    def side():
+        n = int(rng.integers(0, 6))
+        if coarse:
+            b, p = rng.integers(0, 4, n) * 0.5, rng.integers(1, 4, n) * 0.5
+        else:
+            b, p = rng.uniform(-3, 3, n), rng.uniform(0.05, 3.0, n)
+        return PersistenceMeasure((pt, mass) for pt in np.column_stack([b, b + p]))
+
+    return side(), side()
+
+
+def has_coincident_atoms(mu, nu):
+    pts = [tuple(p) for p in np.vstack([mu.points, nu.points])]
+    return len(set(pts)) < len(pts)
+
+
+class TestMatchingDecision:
+    @pytest.mark.parametrize("q", [1.0, 2.0, 3.0, math.inf])
+    def test_agrees_with_the_flow_at_every_candidate(self, q):
+        cfg = MetricConfig(q)
+        rng = np.random.default_rng(71)
+        seen = {"empty side": 0, "n != m": 0, "coincident": 0, "feasible": 0, "infeasible": 0}
+        for _ in range(60):
+            mu, nu = random_single_mass_pair(rng)
+            if mu.n_atoms == 0 and nu.n_atoms == 0:
+                continue
+            seen["empty side"] += mu.n_atoms == 0 or nu.n_atoms == 0
+            seen["n != m"] += mu.n_atoms != nu.n_atoms
+            seen["coincident"] += has_coincident_atoms(mu, nu)
+            pair = transport._pair(mu, nu, cfg)
+            assert set(pair.u + pair.v) == {1}
+            for t in np.unique(np.concatenate([[0.0], pair.du, pair.dv, pair.gd.ravel()])):
+                decided = transport._matching_feasible(pair, t)
+                assert decided == (feasible_at(mu, nu, t, cfg) is not None)
+                seen["feasible" if decided else "infeasible"] += 1
+        assert min(seen.values()) >= 3, seen
+
+    def test_single_mass_pairs_run_one_flow(self, monkeypatch):
+        # the search runs on matchings alone; the only flow extracts the coupling
+        flows = counted(monkeypatch, "_max_flow_int32")
+        monkeypatch.setattr(transport, "_max_flow_exact", _refuse)
+        rng = np.random.default_rng(73)
+        checked = 0
+        for _ in range(20):
+            mu, nu = random_single_mass_pair(rng)
+            if mu.n_atoms + nu.n_atoms < 3:
+                continue
+            flows.clear()
+            res = ot_infinity(mu, nu, Q_INF)
+            assert len(flows) == 1 and res.solver == "matching"
+            assert res.thresholds_tested >= 2
+            _assert_certificate(mu, nu, res)
+            checked += 1
+        assert checked >= 10
+
+
+class TestOnePrecomputationPerPair:
+    @staticmethod
+    def pairs(kind, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(8):
+            d1, d2 = random_diagram(rng, max_points=10), random_diagram(rng, max_points=10)
+            if len(d1) + len(d2) < 3:
+                continue
+            if kind == "unit":
+                yield uniform_measure(d1, 1 / 7), uniform_measure(d2, 1 / 7)
+            else:
+                yield thirds_and_fifths(d1, rng), thirds_and_fifths(d2, rng)
+
+    @pytest.mark.parametrize("kind", ["unit", "thirds and fifths"])
+    def test_ground_distances_are_built_at_most_twice(self, monkeypatch, kind):
+        # once for the search and once for the final coupling's feasible_at,
+        # however many thresholds the search decides
+        builds = counted(monkeypatch, "ground_distance_matrix")
+        for mu, nu in self.pairs(kind, 83):
+            builds.clear()
+            res = ot_infinity(mu, nu, Q_INF)
+            assert res.thresholds_tested > 2
+            assert len(builds) <= 2
+
+    @pytest.mark.parametrize("kind, decision", [("unit", "_matching_feasible"),
+                                                ("thirds and fifths", "_flow_feasible")])
+    def test_thresholds_tested_counts_the_decisions(self, monkeypatch, kind, decision):
+        # the search's decisions plus the final coupling; the top candidate,
+        # always feasible, is never decided on its own
+        decided = counted(monkeypatch, decision)
+        finals = counted(monkeypatch, "feasible_at")
+        for mu, nu in self.pairs(kind, 89):
+            decided.clear()
+            finals.clear()
+            res = ot_infinity(mu, nu, Q_INF)
+            assert res.thresholds_tested == len(decided) + len(finals)
+            assert [args[2] for args in finals] == [res.distance]
+            pair = transport._pair(mu, nu, Q_INF)
+            top = max(a.max(initial=0.0) for a in (pair.gd, pair.du, pair.dv))
+            assert top not in [args[1] for args in decided]
