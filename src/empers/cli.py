@@ -41,6 +41,14 @@ _SHARED_FLAGS = {
     "jobs": dict(type=int, default=1, help="parallel workers within a stage"),
     "resume": dict(action="store_true", help="skip completed stages"),
 }
+# Range checks of numeric options, by option name. They run after parsing, so
+# that a bad value ends as a one-line config error (exit 2) rather than
+# argparse's usage text.
+_OPTION_RANGES = {
+    "jobs": (lambda v: v >= 1, "at least 1"),
+    "eps": (lambda v: v > 0, "positive"),
+    "bands": (lambda v: v >= 0, "at least 0"),
+}
 _SEEDED_FLAGS = ("config", "seed", "out")
 _UNSEEDED_FLAGS = ("config", "out")
 
@@ -48,6 +56,14 @@ _UNSEEDED_FLAGS = ("config", "out")
 def _add_shared_flags(p: argparse.ArgumentParser, *names: str) -> None:
     for name in names:
         p.add_argument(f"--{name}", **_SHARED_FLAGS[name])
+
+
+def _check_option_ranges(args) -> None:
+    for name, (ok, wanted) in _OPTION_RANGES.items():
+        value = getattr(args, name, None)
+        values = value if isinstance(value, list) else [value]
+        if value is not None and not all(ok(v) for v in values):
+            raise ConfigError(f"--{name} must be {wanted}, got {value}")
 
 
 def _load_experiment_config(args) -> ExperimentConfig:
@@ -152,8 +168,6 @@ def cmd_distance(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    if any(not eps > 0 for eps in args.eps):
-        raise ConfigError(f"--eps values must be positive, got {args.eps}")
     try:
         thresholds = json.loads(args.thresholds) if args.thresholds else None
     except json.JSONDecodeError as exc:
@@ -259,6 +273,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_option_ranges(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

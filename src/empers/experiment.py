@@ -141,13 +141,19 @@ def stage_diagrams(in_dir: Path, cfg: ExperimentConfig, out_dir: Path,
 def load_diagram_groups(diagram_dir: Path, degree: int,
                         n_samples: int) -> dict[tuple[str, int], list[PersistenceDiagram]]:
     """Diagrams of one degree grouped per (label, instance), keeping repeats
-    below ``n_samples``."""
-    groups: dict[tuple[str, int], list[PersistenceDiagram]] = {}
+    below ``n_samples``. Every instance must have each of the repeats
+    0..n_samples-1, or the estimate would average fewer diagrams than asked."""
+    found: dict[tuple[str, int], list[tuple[int, Path]]] = {}
     for path in sorted(diagram_dir.glob(f"*__h{degree}.csv")):
         label, instance, repeat, _ = parse_artifact_name(path.name)
         if repeat < n_samples:
-            groups.setdefault((label, instance), []).append(io.read_diagram_csv(path))
-    return groups
+            found.setdefault((label, instance), []).append((repeat, path))
+    for (label, instance), entries in found.items():
+        if sorted(r for r, _ in entries) != list(range(n_samples)):
+            raise DataError(f"instance {label}/{instance} has {len(entries)} degree-{degree} "
+                            f"diagram(s) with repeat below {n_samples}; featurizing needs "
+                            f"repeats 0..{n_samples - 1}, one each")
+    return {key: [io.read_diagram_csv(p) for _, p in entries] for key, entries in found.items()}
 
 
 def stage_featurize(diagram_dir: Path, cfg: ExperimentConfig, n_samples: int,
@@ -171,8 +177,6 @@ def stage_featurize(diagram_dir: Path, cfg: ExperimentConfig, n_samples: int,
         groups = load_diagram_groups(diagram_dir, degree, n_samples)
         if not groups:
             raise DataError(f"no degree-{degree} diagrams found in {diagram_dir}")
-        if any(len(batch) == 0 for batch in groups.values()):
-            raise DataError("every instance needs at least one diagram")
         per_degree_groups[degree] = groups
         if fixed_system is not None:
             systems[degree] = fixed_system

@@ -5,13 +5,21 @@ All randomness flows through the Philox counter-based generator seeded
 explicitly, so identical specs produce identical samples across runs and
 platforms. Child seeds for batch work are derived with
 :func:`empers.config.derive_seed`.
+
+Distance matrices are computed in numpy, in the summation order of scipy's
+``pdist``: squared coordinate differences are added one dimension at a time,
+then the square root is taken. That keeps every entry bit-equal to
+``squareform(pdist(x))``, on which the diagrams and all later artifacts
+depend, while the pipeline loads no scipy module: importing
+``scipy.spatial`` took longer and more memory than the rest of the package.
+A one-line ``((x[:, None] - x[None]) ** 2).sum(-1)`` is not equivalent:
+numpy sums eight or more terms pairwise, which can change the last bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
 from .persistence import DistanceMatrix, GrayImage
 
@@ -109,10 +117,14 @@ def sample_shape(spec: ShapeSpec) -> PointCloud:
 
 
 def pairwise_distances(pc: PointCloud) -> DistanceMatrix:
-    """Euclidean distance matrix of a point cloud."""
-    if pc.n == 1:
-        return DistanceMatrix(np.zeros((1, 1)))
-    return DistanceMatrix(squareform(pdist(pc.points)))
+    """Euclidean distance matrix of a point cloud, bit-equal to
+    ``squareform(pdist(pc.points))`` (see the module docstring)."""
+    x = pc.points
+    sq = np.zeros((pc.n, pc.n))
+    for k in range(x.shape[1]):
+        d = x[:, k, None] - x[None, :, k]
+        sq += d * d
+    return DistanceMatrix(np.sqrt(sq))
 
 
 TEXTURE_KINDS = ("gradient", "salt_pepper")

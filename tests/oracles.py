@@ -108,7 +108,8 @@ def naive_vr_diagrams(dm: np.ndarray, max_dim: int,
                       essential_policy: str = "cap") -> dict[int, list[tuple[float, float]]]:
     """Vietoris-Rips persistence by dense naive reduction: full simplex
     enumeration, a dense 0/1 matrix, and left-to-right reduction that rescans
-    all earlier columns for a matching low at every step."""
+    the lows of all earlier columns for a match at every step. A reduced
+    column never changes again, so its low is recorded once."""
     n = dm.shape[0]
     simplices = [(0.0, (i,)) for i in range(n)]
     for i, j in combinations(range(n), 2):
@@ -130,15 +131,18 @@ def naive_vr_diagrams(dm: np.ndarray, max_dim: int,
         rows = np.flatnonzero(R[:, col])
         return int(rows[-1]) if len(rows) else -1
 
+    lows: list[int] = []  # lows[k]: low of reduced column k, -1 if it is zero
     pairs = []
     for j in range(big_n):
-        while low(j) != -1:
-            lj = low(j)
-            pivot = next((k for k in range(j) if low(k) == lj), None)
+        lj = low(j)
+        while lj != -1:
+            pivot = next((k for k, lk in enumerate(lows) if lk == lj), None)
             if pivot is None:
                 pairs.append((lj, j))
                 break
             R[:, j] = (R[:, j] + R[:, pivot]) % 2
+            lj = low(j)
+        lows.append(lj)
 
     diagrams: dict[int, list[tuple[float, float]]] = {d: [] for d in range(max_dim + 1)}
     paired = set()

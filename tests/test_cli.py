@@ -130,7 +130,8 @@ class TestDiagnoseCommand:
         assert main(["diagnose", "--measures", str(d)]) == 3
 
     @pytest.mark.parametrize("flags", [["--eps", "0"], ["--thresholds", "{not json"],
-                                       ["--thresholds", "[1, 2]"]])
+                                       ["--thresholds", "[1, 2]"], ["--eps", "0.5", "nan"],
+                                       ["--bands", "1", "-1"]])
     def test_bad_argument_values_are_config_errors(self, tmp_path, capsys, flags):
         d = tmp_path / "family"
         d.mkdir()
@@ -208,6 +209,38 @@ class TestPipelineCommands:
                      "--samples-per-object", "0", "--out", str(tmp_path / "f.csv")]) == 2
         assert_one_line_error(capsys, "config error:")
         assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("m, missing, named", [
+        (5, None, "annulus/0 has 2 "),
+        (2, "circle__0000__0001__h0.csv", "circle/0 has 1 "),
+    ])
+    def test_featurize_needs_every_repeat_below_m(self, tmp_path, capsys, m, missing, named):
+        cfgp = write_tiny_config(tmp_path)
+        clouds, diagrams = tmp_path / "clouds", tmp_path / "diagrams"
+        assert main(["sample", "--config", str(cfgp), "--out", str(clouds)]) == 0
+        assert main(["diagram", "--config", str(cfgp), "--in", str(clouds),
+                     "--out", str(diagrams)]) == 0
+        if missing:
+            (diagrams / missing).unlink()
+        capsys.readouterr()
+        assert main(["featurize", "--config", str(cfgp), "--diagrams", str(diagrams),
+                     "--samples-per-object", str(m), "--out", str(tmp_path / "f.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: instance {named}")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("command", ["diagram", "run-experiment"])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_config_error(self, tmp_path, capsys, command, jobs):
+        cfgp = write_tiny_config(tmp_path)
+        clouds = tmp_path / "clouds"
+        clouds.mkdir()
+        extra = ["--in", str(clouds)] if command == "diagram" else []
+        assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "o"),
+                     "--jobs", jobs, *extra]) == 2
+        assert_one_line_error(capsys, "config error:")
+        assert not (tmp_path / "o").exists()
 
     def test_diagram_input_not_a_directory_is_a_data_error(self, tmp_path, capsys):
         cfgp = write_tiny_config(tmp_path)

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from scipy.spatial.distance import pdist, squareform
 
 from empers.persistence import GrayImage
 from empers.samplers import (
@@ -97,6 +104,62 @@ class TestPairwiseDistances:
             for j in range(8):
                 for k in range(8):
                     assert dm[i, k] <= dm[i, j] + dm[j, k] + 1e-12
+
+
+def assert_bit_equal_to_pdist(points) -> None:
+    points = np.asarray(points, dtype=float)
+    assert np.array_equal(pairwise_distances(PointCloud(points)).entries,
+                          squareform(pdist(points)))
+
+
+class TestPairwiseDistancesEqualPdist:
+    """Diagrams and every later artifact depend on the last bit of each
+    distance, so the numpy matrix must equal scipy's exactly."""
+
+    @pytest.mark.parametrize("dim", [*range(1, 13), 33])
+    def test_random_clouds_per_dimension(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            n = int(rng.integers(1, 25))
+            assert_bit_equal_to_pdist(rng.normal(size=(n, dim)) * 10 ** rng.uniform(-3, 6))
+
+    @pytest.mark.parametrize("dim", [1, 3, 8, 33])
+    def test_single_point(self, dim):
+        assert_bit_equal_to_pdist(np.ones((1, dim)))
+
+    @pytest.mark.parametrize("dim", [2, 9])
+    def test_duplicate_points(self, dim):
+        rng = np.random.default_rng(11)
+        pts = rng.normal(size=(6, dim))
+        assert_bit_equal_to_pdist(np.vstack([pts, pts[::-1], pts[:1]]))
+
+    @pytest.mark.parametrize("dim", [2, 3, 10])
+    def test_integer_grid(self, dim):
+        rng = np.random.default_rng(dim)
+        assert_bit_equal_to_pdist(rng.integers(-3, 4, size=(20, dim)))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-1, 1.0, 1e2, 1e4, 1e6])
+    def test_magnitudes(self, scale):
+        rng = np.random.default_rng(5)
+        assert_bit_equal_to_pdist(rng.uniform(-1, 1, size=(15, 12)) * scale)
+
+    @given(st.integers(1, 12).flatmap(lambda dim: st.lists(
+        st.lists(st.floats(-1e6, 1e6), min_size=dim, max_size=dim),
+        min_size=1, max_size=10)))
+    def test_property(self, points):
+        assert_bit_equal_to_pdist(points)
+
+
+def test_pipeline_imports_no_scipy():
+    """Loading scipy took most of a pipeline process's import time and
+    memory; only the OT_inf code needs it, and imports it when it runs."""
+    root = Path(__file__).resolve().parent.parent
+    code = ("import empers.cli, empers.experiment, sys; "
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+            "assert not loaded, loaded")
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestSamplePatches:
