@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -69,8 +70,7 @@ def _check_option_ranges(args) -> None:
 def _load_experiment_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
-        cfg = ExperimentConfig(**{**cfg.to_jsonable(), "master_seed": args.seed,
-                                  "shapes": cfg.shapes})
+        cfg = dataclasses.replace(cfg, master_seed=args.seed)
     return cfg
 
 

@@ -16,7 +16,7 @@ from typing import Optional, Union
 
 from .errors import ConfigError
 from .measure import Rectangle
-from .samplers import SHAPE_KINDS
+from .samplers import SHAPE_KINDS, ShapeSpec
 
 
 def derive_seed(master_seed: int, *parts: Union[str, int]) -> int:
@@ -24,6 +24,12 @@ def derive_seed(master_seed: int, *parts: Union[str, int]) -> int:
     key = ":".join([str(master_seed), *map(str, parts)])
     digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def _is_valid_label(label) -> bool:
+    """Class labels name artifact files and end the rows of feature CSVs."""
+    return (isinstance(label, str) and label != "" and label == label.strip()
+            and label.splitlines() == [label] and not set(label) & set("/\\,\0"))
 
 
 @dataclass(frozen=True)
@@ -45,6 +51,19 @@ class ShapeClassConfig:
             raise ConfigError(f"unknown shape kind {self.kind!r}")
         if self.instances < 1:
             raise ConfigError("instances must be >= 1")
+        if self.label is not None and not _is_valid_label(self.label):
+            raise ConfigError(f"shape label must be a non-empty string without surrounding "
+                              f"whitespace, '/', '\\', ',', line breaks or NUL, got {self.label!r}")
+        try:
+            self.spec(1, 0)
+        except ValueError as exc:
+            raise ConfigError(f"shape {self.class_label!r}: {exc}") from None
+
+    def spec(self, n: int, seed: int) -> ShapeSpec:
+        """The sampler's spec of this shape, for ``n`` points from ``seed``."""
+        return ShapeSpec(kind=self.kind, n=n, seed=seed, radius=self.radius,
+                         inner_radius=self.inner_radius, outer_radius=self.outer_radius,
+                         ring_radius=self.ring_radius, tube_radius=self.tube_radius)
 
     @property
     def class_label(self) -> str:
@@ -92,11 +111,17 @@ class ExperimentConfig:
             raise ConfigError("samples_per_object must be non-empty positive counts")
         if any(d not in (0, 1) for d in self.homology_degrees) or not self.homology_degrees:
             raise ConfigError("homology_degrees must be a non-empty subset of {0, 1}")
+        for name in ("samples_per_object", "homology_degrees"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {list(values)}")
         if self.template_system_file and len(self.homology_degrees) > 1:
             raise ConfigError("template_system_file holds one template system, so "
                               "homology_degrees must name a single degree")
         if self.essential_policy not in ("cap", "drop"):
             raise ConfigError("essential_policy must be 'cap' or 'drop'")
+        if self.max_radius is not None and not self.max_radius > 0:
+            raise ConfigError(f"max_radius must be null or positive, got {self.max_radius}")
         x0, x1, y0, y1 = self.kernel_rectangle
         if not (math.isclose(x0, -x1, abs_tol=1e-12) and math.isclose(y0, -y1, abs_tol=1e-12)):
             raise ConfigError("kernel_rectangle must be symmetric about the origin")

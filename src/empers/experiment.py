@@ -1,20 +1,32 @@
 """The batch pipeline: sample point clouds, compute diagrams, featurize,
 train, and evaluate, with file artifacts at every stage.
 
-Stages communicate through files named ``<label>__<instance>__<repeat>``
-(plus a ``__h<degree>`` suffix for diagrams) so any stage can be rerun or
-inspected in isolation. A manifest records per-stage outputs and timings;
-with ``resume`` enabled, stages whose outputs already exist under the same
-config hash are skipped.
+Clouds and diagrams pass between stages as one CSV file per sample, named
+``<label>__<instance>__<repeat>.csv`` (plus a ``__h<degree>`` suffix for
+diagrams), so any stage can be rerun or inspected in isolation. Four
+functions own that layout, each keyed by ``(label, instance, repeat)``:
+``write_clouds`` and ``read_clouds``, ``write_diagrams`` and
+``read_diagrams``. Nothing else builds or parses those names, globs for
+them or removes the ones an earlier run left behind, and the sample,
+diagram and featurize stages do no file I/O of their own. The diagram
+stage reads every cloud first and hands ``write_diagrams`` each cloud's
+diagrams as the workers return them, so files are written while the rest
+are computed.
+
+A manifest records per-stage outputs and timings; with ``resume`` enabled,
+stages whose outputs already exist under the same config hash are skipped.
 """
 from __future__ import annotations
 
 import json
+import math
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -43,109 +55,98 @@ from .learn import (
 )
 from .measure import PersistenceDiagram
 from .persistence import FiltrationOptions, GrayImage, image_sublevel_h0, vr_persistence
-from .samplers import ShapeSpec, pairwise_distances, sample_patches, sample_shape
+from .samplers import PointCloud, pairwise_distances, sample_patches, sample_shape
 
 TOOL_VERSION = f"empers {__version__}"
 
+Key = tuple[str, int, int]  # (label, instance, repeat) of one sampled cloud
 
-def _cloud_name(label: str, instance: int, repeat: int) -> str:
-    return f"{label}__{instance:04d}__{repeat:04d}.csv"
-
-
-def parse_artifact_name(name: str) -> tuple[str, int, int, Optional[int]]:
-    """Split "<label>__<instance>__<repeat>[__h<degree>].csv" into parts."""
-    stem = name[:-4] if name.endswith(".csv") else name
-    parts = stem.split("__")
-    degree = None
-    if parts and parts[-1].startswith("h") and parts[-1][1:].isdigit():
-        degree = int(parts[-1][1:])
-        parts = parts[:-1]
-    if len(parts) < 3:
-        raise DataError(f"cannot parse artifact name {name!r}")
-    label = "__".join(parts[:-2])
-    return label, int(parts[-2]), int(parts[-1]), degree
+_ARTIFACT_NAME = re.compile(r"(.+)__([0-9]+)__([0-9]+)(?:__h([0-9]+))?\.csv")
 
 
-def _clear_stage_dir(out_dir: Path, diagrams: bool) -> None:
+def _artifact_name(key: Key, degree: Optional[int] = None) -> str:
+    label, instance, repeat = key
+    suffix = "" if degree is None else f"__h{degree}"
+    return f"{label}__{instance:04d}__{repeat:04d}{suffix}.csv"
+
+
+def _parse_artifact_name(name: str) -> tuple[Key, Optional[int]]:
+    """The key and degree (None for a cloud) that ``_artifact_name`` made
+    ``name`` from. The label is everything before the last two numbers, so
+    labels may contain ``__``."""
+    match = _ARTIFACT_NAME.fullmatch(name)
+    if match is None:
+        raise DataError(f"cannot parse artifact name {name!r}: expected "
+                        "<label>__<instance>__<repeat>[__h<degree>].csv")
+    label, instance, repeat, degree = match.groups()
+    return (label, int(instance), int(repeat)), None if degree is None else int(degree)
+
+
+def _clear_artifacts(out_dir: Path, diagrams: bool) -> None:
     """Create ``out_dir`` and delete the clouds (or, with ``diagrams``, the
-    diagrams) an earlier run left there: the next stage globs the directory,
-    so stale files would join this run's. Other files stay."""
+    diagrams) an earlier run left there: readers take every artifact in the
+    directory, so stale files would join this run's. Other files stay."""
     out_dir.mkdir(parents=True, exist_ok=True)
     for path in out_dir.glob("*.csv"):
         try:
-            degree = parse_artifact_name(path.name)[3]
-        except ValueError:
+            degree = _parse_artifact_name(path.name)[1]
+        except DataError:
             continue
         if (degree is not None) == diagrams:
             path.unlink()
 
 
-def stage_sample(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """One point-cloud CSV per (class, instance, repeat), deterministically
-    seeded from the master seed. Clouds of an earlier run in ``out_dir`` are
-    deleted first."""
-    _clear_stage_dir(out_dir, diagrams=False)
-    outputs = []
-    for class_idx, shape in enumerate(cfg.shapes):
-        for instance in range(shape.instances):
-            for repeat in range(cfg.max_samples):
-                seed = derive_seed(cfg.master_seed, "sample", class_idx, instance, repeat)
-                spec = ShapeSpec(kind=shape.kind, n=cfg.points_per_sample, seed=seed,
-                                 radius=shape.radius,
-                                 inner_radius=shape.inner_radius,
-                                 outer_radius=shape.outer_radius,
-                                 ring_radius=shape.ring_radius,
-                                 tube_radius=shape.tube_radius)
-                cloud = sample_shape(spec)
-                path = out_dir / _cloud_name(shape.class_label, instance, repeat)
-                io.write_point_cloud_csv(path, cloud.points)
-                outputs.append(path)
-    return outputs
+def write_clouds(out_dir: Path, clouds: dict[Key, np.ndarray]) -> list[Path]:
+    """One CSV per cloud, in the dict's order, replacing the clouds an
+    earlier run left in ``out_dir``. Returns the paths written."""
+    _clear_artifacts(out_dir, diagrams=False)
+    paths = []
+    for key, points in clouds.items():
+        path = out_dir / _artifact_name(key)
+        io.write_point_cloud_csv(path, points)
+        paths.append(path)
+    return paths
 
 
-def _diagram_task(args: tuple[str, str, tuple[int, ...], str, Optional[float]]) -> list[str]:
-    """Worker: one cloud file to one diagram file per degree."""
-    in_path, out_dir, degrees, essential_policy, max_radius = args
-    from .samplers import PointCloud  # local import keeps the worker self-contained
-
-    cloud = PointCloud(io.read_point_cloud_csv(in_path))
-    dm = pairwise_distances(cloud)
-    opts = FiltrationOptions(max_dim=max(degrees), essential_policy=essential_policy,
-                             max_radius=max_radius if max_radius else float("inf"))
-    diagrams = vr_persistence(dm, opts)
-    outputs = []
-    stem = Path(in_path).name[:-4]
-    for degree in degrees:
-        path = Path(out_dir) / f"{stem}__h{degree}.csv"
-        io.write_diagram_csv(path, diagrams[degree])
-        outputs.append(str(path))
-    return outputs
+def read_clouds(in_dir: Path) -> dict[Key, np.ndarray]:
+    """Every cloud in ``in_dir``, in file-name order. Diagrams there are
+    skipped, so one directory can hold both stages' artifacts; any other
+    CSV file is a ``DataError``."""
+    clouds = {}
+    for path in sorted(in_dir.glob("*.csv")):
+        try:
+            key, degree = _parse_artifact_name(path.name)
+        except DataError as exc:
+            raise DataError(f"{in_dir}: {exc}") from None
+        if degree is None:
+            clouds[key] = io.read_point_cloud_csv(path)
+    return clouds
 
 
-def stage_diagrams(in_dir: Path, cfg: ExperimentConfig, out_dir: Path,
-                   jobs: int = 1) -> list[Path]:
-    """Vietoris-Rips diagrams for every cloud in ``in_dir``, per degree.
-    Diagrams of an earlier run in ``out_dir`` are deleted first."""
-    _clear_stage_dir(out_dir, diagrams=True)
-    clouds = sorted(in_dir.glob("*.csv"))
-    tasks = [(str(p), str(out_dir), tuple(cfg.homology_degrees),
-              cfg.essential_policy, cfg.max_radius) for p in clouds]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            produced = list(pool.map(_diagram_task, tasks, chunksize=16))
-    else:
-        produced = [_diagram_task(t) for t in tasks]
-    return [Path(p) for group in produced for p in group]
+def write_diagrams(out_dir: Path,
+                   diagrams: Iterable[tuple[Key, dict[int, PersistenceDiagram]]]) -> list[Path]:
+    """One CSV per (cloud, degree), replacing the diagrams an earlier run
+    left in ``out_dir``. ``diagrams`` is consumed lazily, so each file is
+    written as soon as its cloud's diagrams arrive. Returns the paths
+    written."""
+    _clear_artifacts(out_dir, diagrams=True)
+    paths = []
+    for key, by_degree in diagrams:
+        for degree, diagram in by_degree.items():
+            path = out_dir / _artifact_name(key, degree)
+            io.write_diagram_csv(path, diagram)
+            paths.append(path)
+    return paths
 
 
-def load_diagram_groups(diagram_dir: Path, degree: int,
-                        n_samples: int) -> dict[tuple[str, int], list[PersistenceDiagram]]:
+def read_diagrams(in_dir: Path, degree: int,
+                  n_samples: int) -> dict[tuple[str, int], list[PersistenceDiagram]]:
     """Diagrams of one degree grouped per (label, instance), keeping repeats
     below ``n_samples``. Every instance must have each of the repeats
     0..n_samples-1, or the estimate would average fewer diagrams than asked."""
     found: dict[tuple[str, int], list[tuple[int, Path]]] = {}
-    for path in sorted(diagram_dir.glob(f"*__h{degree}.csv")):
-        label, instance, repeat, _ = parse_artifact_name(path.name)
+    for path in sorted(in_dir.glob(f"*__h{degree}.csv")):
+        (label, instance, repeat), _ = _parse_artifact_name(path.name)
         if repeat < n_samples:
             found.setdefault((label, instance), []).append((repeat, path))
     for (label, instance), entries in found.items():
@@ -154,6 +155,65 @@ def load_diagram_groups(diagram_dir: Path, degree: int,
                             f"diagram(s) with repeat below {n_samples}; featurizing needs "
                             f"repeats 0..{n_samples - 1}, one each")
     return {key: [io.read_diagram_csv(p) for _, p in entries] for key, entries in found.items()}
+
+
+def stage_sample(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+    """One point cloud per (class, instance, repeat), deterministically
+    seeded from the master seed, written with ``write_clouds``."""
+    clouds = {}
+    for class_idx, shape in enumerate(cfg.shapes):
+        for instance in range(shape.instances):
+            for repeat in range(cfg.max_samples):
+                seed = derive_seed(cfg.master_seed, "sample", class_idx, instance, repeat)
+                spec = shape.spec(cfg.points_per_sample, seed)
+                clouds[shape.class_label, instance, repeat] = sample_shape(spec).points
+    return write_clouds(out_dir, clouds)
+
+
+def _diagram_task(points: np.ndarray, opts: FiltrationOptions,
+                  degrees: tuple[int, ...]) -> dict[int, PersistenceDiagram]:
+    """Worker: the Rips diagrams of one cloud in the given degrees."""
+    diagrams = vr_persistence(pairwise_distances(PointCloud(points)), opts)
+    return {degree: diagrams[degree] for degree in degrees}
+
+
+def stage_diagrams(in_dir: Path, cfg: ExperimentConfig, out_dir: Path,
+                   jobs: int = 1) -> list[Path]:
+    """Vietoris-Rips diagrams for every cloud in ``in_dir``, per degree.
+
+    The results go to ``write_diagrams`` in cloud order as they are
+    computed; with a pool, the parent writes while the workers compute."""
+    clouds = read_clouds(in_dir)
+    degrees = tuple(cfg.homology_degrees)
+    opts = FiltrationOptions(
+        max_dim=max(degrees), essential_policy=cfg.essential_policy,
+        max_radius=math.inf if cfg.max_radius is None else cfg.max_radius)
+    task = partial(_diagram_task, opts=opts, degrees=degrees)
+    if jobs > 1 and len(clouds) > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return write_diagrams(out_dir, zip(clouds, pool.map(task, clouds.values(),
+                                                                chunksize=16)))
+    return write_diagrams(out_dir, zip(clouds, map(task, clouds.values())))
+
+
+def _read_fixed_system(cfg: ExperimentConfig) -> Optional[TemplateSystem]:
+    """The template system of the config's ``template_system_file``, if any."""
+    if not cfg.template_system_file:
+        return None
+    return io.read_template_system_json(cfg.template_system_file)
+
+
+def _write_features(out_csv: Path, matrix: np.ndarray, labels: list[str],
+                    column_ids: list[str], systems: dict[int, TemplateSystem],
+                    system_dir: Optional[Path]) -> None:
+    """The feature CSV and, in ``system_dir`` if given, each degree's
+    template system as ``templates_h<degree>.json``."""
+    out_csv.parent.mkdir(parents=True, exist_ok=True)
+    io.write_feature_csv(out_csv, matrix, labels, column_ids)
+    if system_dir is not None:
+        system_dir.mkdir(parents=True, exist_ok=True)
+        for degree, system in systems.items():
+            io.write_template_system_json(system_dir / f"templates_h{degree}.json", system)
 
 
 def stage_featurize(diagram_dir: Path, cfg: ExperimentConfig, n_samples: int,
@@ -169,12 +229,11 @@ def stage_featurize(diagram_dir: Path, cfg: ExperimentConfig, n_samples: int,
     if n_samples < 1:
         raise ConfigError(f"samples per object must be >= 1, got {n_samples}")
     kernel = StepKernel(cfg.kernel_support)
-    fixed_system = (io.read_template_system_json(cfg.template_system_file)
-                    if cfg.template_system_file else None)
+    fixed_system = _read_fixed_system(cfg)
     per_degree_groups = {}
     systems: dict[int, TemplateSystem] = {}
     for degree in cfg.homology_degrees:
-        groups = load_diagram_groups(diagram_dir, degree, n_samples)
+        groups = read_diagrams(diagram_dir, degree, n_samples)
         if not groups:
             raise DataError(f"no degree-{degree} diagrams found in {diagram_dir}")
         per_degree_groups[degree] = groups
@@ -205,12 +264,7 @@ def stage_featurize(diagram_dir: Path, cfg: ExperimentConfig, n_samples: int,
     if cfg.drop_zero_columns:
         matrix, column_ids = drop_zero_columns(matrix, column_ids)
 
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
-    io.write_feature_csv(out_csv, matrix, labels, column_ids)
-    if system_dir is not None:
-        system_dir.mkdir(parents=True, exist_ok=True)
-        for degree, system in systems.items():
-            io.write_template_system_json(system_dir / f"templates_h{degree}.json", system)
+    _write_features(out_csv, matrix, labels, column_ids, systems, system_dir)
     return out_csv
 
 

@@ -268,6 +268,35 @@ class TestPipelineCommands:
                      "--features", str(renamed)]) == 3
         assert_one_line_error(capsys, "data error:")
 
+    def test_diagram_input_with_a_foreign_csv_is_a_data_error(self, tmp_path, capsys):
+        cfgp = write_tiny_config(tmp_path)
+        clouds = tmp_path / "clouds"
+        assert main(["sample", "--config", str(cfgp), "--out", str(clouds)]) == 0
+        (clouds / "foo.csv").write_bytes((clouds / "circle__0000__0000.csv").read_bytes())
+        capsys.readouterr()
+        assert main(["diagram", "--config", str(cfgp), "--in", str(clouds),
+                     "--out", str(tmp_path / "d")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "foo.csv" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "d").exists()
+
+    def test_diagram_rerun_with_fewer_clouds_drops_stale_diagrams(self, tmp_path, capsys):
+        cfgp = write_tiny_config(tmp_path)
+        clouds, diagrams = tmp_path / "clouds", tmp_path / "diagrams"
+        assert main(["sample", "--config", str(cfgp), "--out", str(clouds)]) == 0
+        assert main(["diagram", "--config", str(cfgp), "--in", str(clouds),
+                     "--out", str(diagrams)]) == 0
+        (diagrams / "notes.csv").write_text("not an artifact\n")
+        for cloud in clouds.glob("annulus__*"):
+            cloud.unlink()
+        assert main(["diagram", "--config", str(cfgp), "--in", str(clouds),
+                     "--out", str(diagrams)]) == 0
+        # 4 circle instances x 2 repeats, one degree; other files stay
+        expected = {f"{c.stem}__h0.csv" for c in clouds.iterdir()} | {"notes.csv"}
+        assert len(expected) == 9
+        assert {p.name for p in diagrams.iterdir()} == expected
+
     def test_diagram_empty_dir_warns(self, tmp_path, capsys):
         cfgp = write_tiny_config(tmp_path)
         empty = tmp_path / "empty"
@@ -294,6 +323,18 @@ class TestRunExperiment:
         for stage in manifest["stages"].values():
             for p in stage["outputs"]:
                 assert Path(p).exists()
+
+    def test_two_jobs_write_the_same_files_as_one(self, tmp_path, capsys):
+        cfgp = write_tiny_config(tmp_path)
+        runs = {}
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["run-experiment", "--config", str(cfgp), "--out", str(out),
+                         "--jobs", jobs]) == 0
+            runs[jobs] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+                          if p.is_file() and p.name != "manifest.json"}
+        assert len(runs["1"]) == 16 + 16 + 2 * 4 + 2
+        assert runs["2"] == runs["1"]
 
     def test_rerun_with_fewer_instances_drops_stale_artifacts(self, tmp_path, capsys):
         cfgp = write_tiny_config(tmp_path)
@@ -418,7 +459,21 @@ class TestExitCodes:
         {"samples_per_object": 5},
         {"shapes": [{"kind": "torus", "instances": "x"}]},
         {"kernel_rectangle": [1, 2]},
-    ], ids=["shapes-number", "samples-number", "instances-string", "kernel-two-values"])
+        {"max_radius": 0},
+        {"max_radius": -1.5},
+        {"max_radius": float("nan")},
+        *({"shapes": [{"kind": "circle", "label": label}]}
+          for label in ("a/b", "a\\b", "a,b", "a\rb", "a\nb", "", " a", "a\x00b")),
+        {"shapes": [{"kind": "circle", "radius": -1}]},
+        {"shapes": [{"kind": "annulus", "inner_radius": 3, "outer_radius": 1}]},
+        {"homology_degrees": [0, 0]},
+        {"samples_per_object": [2, 2]},
+    ], ids=["shapes-number", "samples-number", "instances-string", "kernel-two-values",
+            "max-radius-zero", "max-radius-negative", "max-radius-nan",
+            "label-slash", "label-backslash", "label-comma", "label-cr", "label-newline",
+            "label-empty", "label-whitespace", "label-nul",
+            "radius-negative", "annulus-inner-above-outer",
+            "degrees-repeated", "samples-repeated"])
     def test_wrongly_typed_config_field_is_config_error(self, tmp_path, capsys, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))
