@@ -50,6 +50,8 @@ _OPTION_RANGES = {
     "eps": (lambda v: v > 0, "positive"),
     "bands": (lambda v: v >= 0, "at least 0"),
 }
+# the checks of compactness.build_report that --thresholds can set
+_THRESHOLD_KEYS = ("diameter", "uodf", "odut")
 _SEEDED_FLAGS = ("config", "seed", "out")
 _UNSEEDED_FLAGS = ("config", "out")
 
@@ -172,8 +174,16 @@ def cmd_diagnose(args) -> int:
         thresholds = json.loads(args.thresholds) if args.thresholds else None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--thresholds is not valid JSON: {exc}") from None
-    if thresholds is not None and not isinstance(thresholds, dict):
-        raise ConfigError("--thresholds must be a JSON object")
+    if thresholds is not None:
+        if not isinstance(thresholds, dict):
+            raise ConfigError("--thresholds must be a JSON object")
+        unknown = sorted(set(thresholds) - set(_THRESHOLD_KEYS))
+        if unknown:
+            raise ConfigError(f"--thresholds keys must be among {list(_THRESHOLD_KEYS)}, "
+                              f"got {unknown}")
+        for key, value in thresholds.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or math.isnan(value):
+                raise ConfigError(f"--thresholds {key!r} must be a number, got {value!r}")
     measure_dir = args.measures
     files = sorted(measure_dir.glob("*.json"))
     if not files:

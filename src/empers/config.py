@@ -133,8 +133,12 @@ class ExperimentConfig:
             raise ConfigError("polynomial_degree must be >= 1")
         if not 0.0 < self.split_ratio < 1.0:
             raise ConfigError("split_ratio must be in (0, 1)")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be >= 0")
+        if not 0 <= self.l2 < math.inf:
+            raise ConfigError(f"l2 must be >= 0 and finite, got {self.l2}")
+        if self.train_max_iters < 1:
+            raise ConfigError(f"train_max_iters must be >= 1, got {self.train_max_iters}")
+        if not 0 < self.train_tol < math.inf:
+            raise ConfigError(f"train_tol must be positive and finite, got {self.train_tol}")
         labels = [s.class_label for s in self.shapes]
         if len(set(labels)) != len(labels):
             raise ConfigError(f"shape class labels must be unique, got {labels}")

@@ -6,6 +6,14 @@ against a step template on a rectangle B then have the closed form
 area((x - A) intersect B) / area(A) summed over diagram points x, so no
 quadrature is involved. Feature grids live in (birth, persistence)
 coordinates, i.e. after the shear (b, d) -> (b, d - b).
+
+A batch is sheared and convolved in one pass over its concatenated points,
+with the template array built once per batch. The per-point values are then
+summed diagram by diagram, in diagram order, and the diagram sums added up:
+the same float operations in the same order as convolving each diagram on
+its own, so the features do not change in the last bit. ``np.add.reduceat``
+would save that loop but sums in another order, and on random 40-diagram
+batches its features differed from these in the last bits.
 """
 from __future__ import annotations
 
@@ -102,10 +110,15 @@ def feature_vector(diagrams: Sequence[PersistenceDiagram],
     if not diagrams:
         raise ValueError("need at least one diagram")
     values = np.zeros(len(system))
-    for d in diagrams:
-        if len(d):
-            pts = to_birth_persistence(d.points)
-            values += _batch_convolutions(pts, system).sum(axis=0)
+    sizes = [len(d) for d in diagrams]
+    if any(sizes):
+        pts = to_birth_persistence(np.concatenate([d.points for d in diagrams]))
+        conv = _batch_convolutions(pts, system)
+        start = 0
+        for size in sizes:
+            if size:
+                values += conv[start:start + size].sum(axis=0)
+                start += size
     values /= len(diagrams)
     return FeatureVector(values)
 
@@ -137,11 +150,11 @@ def enclosing_bounds(diagram_batches: Iterable[Sequence[PersistenceDiagram]],
     lo = np.array([np.inf, np.inf])
     hi = np.array([-np.inf, -np.inf])
     for batch in diagram_batches:
-        for d in batch:
-            if len(d):
-                pts = to_birth_persistence(d.points)
-                lo = np.minimum(lo, pts.min(axis=0))
-                hi = np.maximum(hi, pts.max(axis=0))
+        points = [d.points for d in batch if len(d)]
+        if points:
+            pts = to_birth_persistence(np.concatenate(points))
+            lo = np.minimum(lo, pts.min(axis=0))
+            hi = np.maximum(hi, pts.max(axis=0))
     if not np.all(np.isfinite(lo)):
         lo = np.zeros(2)
         hi = np.zeros(2)

@@ -3,7 +3,15 @@
 Both H0 computations are one Kruskal sweep: the edges of a filtered graph go
 through a union-find in filtration order, and an edge that joins two
 components kills the younger one (elder rule: the smaller birth survives,
-ties broken by root index).
+ties broken by root index). Vertices are numbered in filtration order, so
+births never decrease with the index (Rips births are all 0) and the elder
+rule reduces to "the smaller root index survives".
+
+Work that depends only on the input's size is done once per size and kept in
+small caches of read-only arrays: the upper-triangle edges and the
+lexicographic triangles of n vertices with the (n, n, n) table from a vertex
+triple to its triangle, and the 4-neighbour edges of an image shape. A call
+only gathers its values into these and sorts them.
 
 - Rips simplices are totally ordered by (filtration value, dimension,
   lexicographic vertex tuple), which makes diagrams reproducible across
@@ -20,7 +28,10 @@ ties broken by root index).
   reduction of the full simplex list.
 - Image pixels are ordered by (intensity, row-major index) and born at their
   intensity; each 4-neighbour grid edge enters with its later pixel and
-  dies, if it merges, at that pixel's intensity.
+  dies, if it merges, at that pixel's intensity. The first edge of each
+  pixel only merges the pixel's own singleton, a zero-persistence point, so
+  those edges are linked up front in one array assignment and only the rest
+  go through the sweep.
 
 Points are listed in a pinned order. Rips: per degree, the finite points
 ordered by the position of their death simplex, then the capped essential
@@ -35,7 +46,9 @@ enclosing radius (or the global max intensity for images), or dropped.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -131,24 +144,27 @@ def vr_persistence(dm: DistanceMatrix, opts: FiltrationOptions) -> dict[int, Per
     """
     d = dm.entries
     n = dm.n
-    # edges within max_radius in filtration order (value, i, j)
-    ii, jj = np.triu_indices(n, 1)
+    # edges within max_radius in filtration order (value, i, j): the cached
+    # edges are lexicographic, so a stable sort by value is that order
+    ii, jj = _edges(n)
     values = d[ii, jj]
-    keep = values <= opts.max_radius
-    ii, jj, values = ii[keep], jj[keep], values[keep]
-    order = np.lexsort((jj, ii, values))
+    if math.isfinite(opts.max_radius):
+        keep = values <= opts.max_radius
+        ii, jj, values = ii[keep], jj[keep], values[keep]
+    order = np.argsort(values, kind="stable")
     ii, jj, values = ii[order], jj[order], values[order]
     edge_vals = values.tolist()
 
     points: dict[int, list[tuple[float, float]]] = {deg: [] for deg in range(opts.max_dim + 1)}
     # H0: an edge that joins two components kills one of them (born at 0)
-    deaths, _ = _h0_deaths([0.0] * n, ii.tolist(), jj.tolist())
+    deaths, _ = _h0_deaths(list(range(n)), ii.tolist(), jj.tolist())
     points[0] = [(0.0, edge_vals[e]) for e in deaths if 0.0 < edge_vals[e]]
     components = n - len(deaths)
 
     essential_edges: list[int] = []
     if opts.max_dim >= 1 and edge_vals:
-        pairs, essential_edges, tri_vals = _h1_pairs(d, ii, jj, set(deaths))
+        pairs, essential_edges, tri_vals = _h1_pairs(d, ii, jj, set(deaths),
+                                                      opts.max_radius)
         for t in sorted(pairs):
             birth, death = edge_vals[pairs[t]], tri_vals[t]
             if birth < death:
@@ -168,14 +184,43 @@ def vr_persistence(dm: DistanceMatrix, opts: FiltrationOptions) -> dict[int, Per
     return {deg: PersistenceDiagram(pts) for deg, pts in points.items()}
 
 
-def _h1_pairs(d: np.ndarray, ii: np.ndarray, jj: np.ndarray,
-              death_edges: set[int]) -> tuple[dict[int, int], list[int], list[float]]:
+@lru_cache(maxsize=8)
+def _edges(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The edges (i, j), i < j, of n vertices in lexicographic order."""
+    ii, jj = np.triu_indices(n, 1)
+    return _read_only(ii), _read_only(jj)
+
+
+@lru_cache(maxsize=8)
+def _triangles(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The triangles (a, b, c), a < b < c, of n vertices in lexicographic
+    order, and the (n, n, n) table from any ordering of a triangle's vertices
+    to its position in that order (the triangle count where the three
+    vertices are not distinct)."""
+    idx = np.arange(n)
+    a, b, c = np.nonzero((idx[:, None, None] < idx[None, :, None])
+                         & (idx[None, :, None] < idx[None, None, :]))
+    table = np.full((n, n, n), len(a), dtype=np.intp)
+    ids = np.arange(len(a))
+    for p, q, r in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
+        table[p, q, r] = ids
+    return _read_only(a), _read_only(b), _read_only(c), _read_only(table)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _h1_pairs(d: np.ndarray, ii: np.ndarray, jj: np.ndarray, death_edges: set[int],
+              max_radius: float) -> tuple[dict[int, int], list[int], list[float]]:
     """Degree-1 persistence pairs by reduction of edge coboundaries.
 
-    ``ii``, ``jj`` list the edges in filtration order; edge e is the edge of
-    rank e, and triangles are named by their rank in the same total order.
-    Returns the pairing {triangle: edge}, the edges whose column reduces to
-    zero (essential classes) and the triangle values by rank.
+    ``ii``, ``jj`` list the edges within ``max_radius`` in filtration order;
+    edge e is the edge of rank e, and triangles are named by their rank in
+    the same total order. Returns the pairing {triangle: edge}, the edges
+    whose column reduces to zero (essential classes) and the triangle values
+    by rank.
     """
     n = d.shape[0]
     n_edges = len(ii)
@@ -183,24 +228,25 @@ def _h1_pairs(d: np.ndarray, ii: np.ndarray, jj: np.ndarray,
     edge_rank[ii, jj] = edge_rank[jj, ii] = np.arange(n_edges)
 
     # triangles within max_radius (all three edges present), ranked by
-    # (value, i, j, k)
-    idx = np.arange(n)
-    a, b, c = np.nonzero((idx[:, None, None] < idx[None, :, None])
-                         & (idx[None, :, None] < idx[None, None, :]))
-    keep = (edge_rank[a, b] >= 0) & (edge_rank[a, c] >= 0) & (edge_rank[b, c] >= 0)
-    a, b, c = a[keep], b[keep], c[keep]
+    # (value, i, j, k): the cached triangles are lexicographic, so a stable
+    # sort by value is that order
+    a, b, c, table = _triangles(n)
+    n_all = len(a)
     tri_values = np.maximum(np.maximum(d[a, b], d[a, c]), d[b, c])
-    order = np.lexsort((c, b, a, tri_values))
+    ids = np.arange(n_all)
+    if math.isfinite(max_radius):
+        ids = ids[tri_values <= max_radius]
+        a, b, c, tri_values = a[ids], b[ids], c[ids], tri_values[ids]
+    order = np.argsort(tri_values, kind="stable")
     n_tri = len(order)
     tri_rank = np.empty(n_tri, dtype=np.intp)
     tri_rank[order] = np.arange(n_tri)
 
     # cofacets[e, k]: rank of the triangle of edge e and vertex k, or n_tri
     # when there is none
-    rank_of = np.full((n, n, n), n_tri, dtype=np.intp)
-    for p, q, r in ((a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a)):
-        rank_of[p, q, r] = tri_rank
-    cofacets = rank_of[ii, jj]
+    rank_of_id = np.full(n_all + 1, n_tri, dtype=np.intp)
+    rank_of_id[ids] = tri_rank
+    cofacets = rank_of_id[table[ii, jj]]
 
     # (e, t) is an apparent pair when t, the earliest cofacet of e, has e as
     # its latest facet: the column of e is then reduced as it stands
@@ -237,21 +283,22 @@ def _h1_pairs(d: np.ndarray, ii: np.ndarray, jj: np.ndarray,
     return pairs, essential, tri_values[order].tolist()
 
 
-def _h0_deaths(births: list[float], ii: list[int], jj: list[int]) -> tuple[list[int], list[float]]:
+def _h0_deaths(parent: list[int], ii: list[int], jj: list[int]) -> tuple[list[int], list[int]]:
     """Elder-rule union-find sweep over edges given in filtration order.
 
-    Vertex v is born at ``births[v]``; edge e joins ``ii[e]`` and ``jj[e]``.
-    When an edge joins two components the elder (smaller birth, ties broken
-    by root index) survives. Returns, in edge order, the positions of the
-    merging edges and the births of the components they kill; the sweep stops
-    once one component is left.
+    ``parent`` is the initial union-find forest over vertices numbered in
+    filtration order, each entry pointing to a smaller index or to itself;
+    edge e joins ``ii[e]`` and ``jj[e]``. A component's root is its smallest
+    vertex, so when an edge joins two components the smaller root survives
+    (the elder rule, as births do not decrease with the index). Returns, in
+    edge order, the positions of the merging edges and the roots of the
+    components they kill; the sweep stops once one component is left.
     """
-    parent = list(range(len(births)))
     edges: list[int] = []
-    dying: list[float] = []
-    merges_left = len(births) - 1
+    killed: list[int] = []
+    merges_left = sum(map(operator.eq, parent, range(len(parent)))) - 1
     for e, (i, j) in enumerate(zip(ii, jj)):
-        if len(edges) == merges_left:
+        if not merges_left:
             break
         while parent[i] != i:
             parent[i] = i = parent[parent[i]]
@@ -259,12 +306,23 @@ def _h0_deaths(births: list[float], ii: list[int], jj: list[int]) -> tuple[list[
             parent[j] = j = parent[parent[j]]
         if i == j:
             continue
-        if (births[i], i) > (births[j], j):
+        if i > j:
             i, j = j, i
         parent[j] = i
         edges.append(e)
-        dying.append(births[j])
-    return edges, dying
+        killed.append(j)
+        merges_left -= 1
+    return edges, killed
+
+
+@lru_cache(maxsize=8)
+def _grid_edges(shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """The 4-neighbour edges of an image shape as pairs of row-major pixel
+    indices: the horizontal edges, then the vertical ones, row by row."""
+    grid = np.arange(shape[0] * shape[1]).reshape(shape)
+    first = np.concatenate((grid[:, :-1].ravel(), grid[:-1].ravel()))
+    second = np.concatenate((grid[:, 1:].ravel(), grid[1:].ravel()))
+    return _read_only(first), _read_only(second)
 
 
 def image_sublevel_h0(img: GrayImage, opts: FiltrationOptions) -> PersistenceDiagram:
@@ -280,22 +338,25 @@ def image_sublevel_h0(img: GrayImage, opts: FiltrationOptions) -> PersistenceDia
     order = np.argsort(vals, kind="stable")
     rank = np.empty(len(vals), dtype=np.intp)
     rank[order] = np.arange(len(vals))
-    # grid edges (horizontal, then vertical) between pixel ranks, ordered by
-    # the rank of their later pixel
-    grid = rank.reshape(img.values.shape)
-    ii = np.concatenate((grid[:, :-1].ravel(), grid[:-1].ravel()))
-    jj = np.concatenate((grid[:, 1:].ravel(), grid[1:].ravel()))
+    # grid edges between pixel ranks, ordered by the rank of their later pixel
+    first, second = _grid_edges(img.values.shape)
+    ii, jj = rank[first], rank[second]
     later = np.maximum(ii, jj)
     by_later = np.argsort(later, kind="stable")
-    births = vals[order]
-    edges, dying = _h0_deaths(births.tolist(), ii[by_later].tolist(), jj[by_later].tolist())
+    earlier, later = np.minimum(ii, jj)[by_later], later[by_later]
+    # a pixel's first edge joins its singleton to an older component: link
+    # those up front and sweep the rest
+    opens = np.ones(len(later), dtype=bool)
+    opens[1:] = later[1:] != later[:-1]
+    parent = np.arange(len(vals))
+    parent[later[opens]] = earlier[opens]
+    rest = ~opens
+    later = later[rest].tolist()
+    edges, killed = _h0_deaths(parent.tolist(), earlier[rest].tolist(), later)
 
-    death_rank = later[by_later[edges]]
-    dying = np.array(dying)
-    keep = dying < births[death_rank]
-    death_rank, dying = death_rank[keep], dying[keep]
-    listed = np.lexsort((dying, death_rank))
-    points = np.column_stack((dying[listed], births[death_rank[listed]]))
+    births = vals[order].tolist()
+    pairs = sorted((later[e], births[k]) for e, k in zip(edges, killed))
+    points = [(birth, births[v]) for v, birth in pairs if birth < births[v]]
     if opts.essential_policy == CAP and births[0] < births[-1]:
-        points = np.vstack((points, [(births[0], births[-1])]))
+        points.append((births[0], births[-1]))
     return PersistenceDiagram(points)

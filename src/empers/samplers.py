@@ -17,6 +17,7 @@ numpy sums eight or more terms pairwise, which can change the last bit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,8 @@ class ShapeSpec:
         if self.n < 1:
             raise ValueError(f"sample count must be >= 1, got {self.n}")
         for name in ("radius", "inner_radius", "outer_radius", "ring_radius", "tube_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.kind == "annulus" and not self.inner_radius < self.outer_radius:
             raise ValueError("annulus requires inner_radius < outer_radius")
         if self.kind == "torus" and not self.tube_radius < self.ring_radius:

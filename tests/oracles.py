@@ -9,7 +9,8 @@ instead of the Kruskal sweep and edge-coboundary reduction, and flood-fill
 component ranks instead of the elder-rule union-find sweep.
 
 Reference helpers that only tests call also live here: ``kde_eval``,
-``convolve_step``, ``convolve_quadrature``, and ``cross_entropy_loss`` with
+``convolve_step``, ``convolve_quadrature``, ``feature_vector_per_diagram``
+(the template features convolved one diagram at a time), and ``cross_entropy_loss`` with
 ``cross_entropy_grad`` (the library's gradient) for finite differences; the
 measure functionals ``pers_infinity``, ``truncate`` and ``integrate``;
 ``bottleneck`` (``ot_infinity`` of unit-mass diagrams); the compactness
@@ -26,7 +27,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from empers.features import StepKernel, TemplateFunction
+from empers.features import (
+    StepKernel,
+    TemplateFunction,
+    TemplateSystem,
+    _batch_convolutions,
+    to_birth_persistence,
+)
 from empers.learn import _loss_and_grad
 from empers.measure import (
     DEFAULT_METRIC,
@@ -391,6 +398,22 @@ def convolve_step(f: TemplateFunction, kernel: StepKernel, x: Sequence[float]) -
     if wx <= 0 or wy <= 0:
         return 0.0
     return (wx * wy) / a.area
+
+
+def feature_vector_per_diagram(diagrams: Sequence[PersistenceDiagram],
+                               system: TemplateSystem) -> np.ndarray:
+    """The values of ``feature_vector`` with one shear and one convolution per
+    diagram, summed into the features in diagram order. The library convolves
+    the whole batch at once and must give these values bit for bit."""
+    if not diagrams:
+        raise ValueError("need at least one diagram")
+    values = np.zeros(len(system))
+    for d in diagrams:
+        if len(d):
+            pts = to_birth_persistence(d.points)
+            values += _batch_convolutions(pts, system).sum(axis=0)
+    values /= len(diagrams)
+    return values
 
 
 def convolve_quadrature(f: Callable[[float, float], float], kernel: StepKernel,

@@ -131,7 +131,13 @@ class TestDiagnoseCommand:
 
     @pytest.mark.parametrize("flags", [["--eps", "0"], ["--thresholds", "{not json"],
                                        ["--thresholds", "[1, 2]"], ["--eps", "0.5", "nan"],
-                                       ["--bands", "1", "-1"]])
+                                       ["--bands", "1", "-1"],
+                                       ["--thresholds", '{"diamter": 1}'],
+                                       ["--thresholds", '{"diameter": 1, "tightness": 0.1}'],
+                                       ["--thresholds", '{"diameter": "x"}'],
+                                       ["--thresholds", '{"uodf": true}'],
+                                       ["--thresholds", '{"odut": null}'],
+                                       ["--thresholds", '{"odut": NaN}']])
     def test_bad_argument_values_are_config_errors(self, tmp_path, capsys, flags):
         d = tmp_path / "family"
         d.mkdir()
@@ -468,12 +474,25 @@ class TestExitCodes:
         {"shapes": [{"kind": "annulus", "inner_radius": 3, "outer_radius": 1}]},
         {"homology_degrees": [0, 0]},
         {"samples_per_object": [2, 2]},
+        {"shapes": [{"kind": "circle", "radius": float("nan")}]},
+        {"shapes": [{"kind": "sphere", "radius": float("inf")}]},
+        {"l2": float("nan")},
+        {"l2": float("inf")},
+        {"train_tol": 0},
+        {"train_tol": -1e-6},
+        {"train_tol": float("nan")},
+        {"train_tol": float("inf")},
+        {"train_max_iters": 0},
+        {"train_max_iters": -1},
     ], ids=["shapes-number", "samples-number", "instances-string", "kernel-two-values",
             "max-radius-zero", "max-radius-negative", "max-radius-nan",
             "label-slash", "label-backslash", "label-comma", "label-cr", "label-newline",
             "label-empty", "label-whitespace", "label-nul",
             "radius-negative", "annulus-inner-above-outer",
-            "degrees-repeated", "samples-repeated"])
+            "degrees-repeated", "samples-repeated",
+            "radius-nan", "radius-inf", "l2-nan", "l2-inf",
+            "train-tol-zero", "train-tol-negative", "train-tol-nan", "train-tol-inf",
+            "train-max-iters-zero", "train-max-iters-negative"])
     def test_wrongly_typed_config_field_is_config_error(self, tmp_path, capsys, config):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(config))

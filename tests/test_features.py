@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from empers.features import (
@@ -14,7 +14,7 @@ from empers.features import (
     to_birth_persistence,
 )
 from empers.measure import PersistenceDiagram, Rectangle
-from oracles import convolve_quadrature, convolve_step, kde_eval
+from oracles import convolve_quadrature, convolve_step, feature_vector_per_diagram, kde_eval
 
 K01 = StepKernel.from_half_widths(0.1, 0.1)
 
@@ -165,6 +165,56 @@ class TestFeatureVector:
         assert total == pytest.approx(avg, rel=1e-12)
 
 
+def _diagrams_from(rows):
+    """Diagrams from lists of (birth, lifetime) pairs."""
+    return [PersistenceDiagram([(b, b + life) for b, life in row]) for row in rows]
+
+
+class TestFeatureVectorMatchesPerDiagramLoop:
+    """One convolution per batch gives the bytes of one per diagram."""
+
+    SYSTEM = grid_system(Rectangle(-1, 2, 0, 3), 0.35, StepKernel.from_half_widths(0.3, 0.2))
+
+    def assert_same_bytes(self, diagrams, system=SYSTEM):
+        got = feature_vector(diagrams, system).values
+        assert np.array_equal(got, feature_vector_per_diagram(diagrams, system))
+
+    def test_empty_diagrams_between_others(self):
+        self.assert_same_bytes(_diagrams_from([[], [(0.1, 0.7), (0.4, 1.3)], [], [],
+                                               [(1.1, 0.2)], []]))
+
+    def test_all_diagrams_empty(self):
+        self.assert_same_bytes(_diagrams_from([[], [], []]))
+
+    def test_one_point_diagrams(self):
+        rng = np.random.default_rng(21)
+        self.assert_same_bytes(_diagrams_from(
+            [[(rng.uniform(-1, 2), rng.uniform(0.1, 3))] for _ in range(40)]))
+
+    def test_tied_points(self):
+        self.assert_same_bytes(_diagrams_from([[(0.5, 1.0)] * 3, [(0.5, 1.0), (0.5, 1.0)],
+                                               [(0.5, 1.0), (0.2, 1.0), (0.5, 1.0)]]))
+
+    def test_points_outside_the_grid(self):
+        self.assert_same_bytes(_diagrams_from([[(-5.0, 0.5), (0.3, 9.0)], [(7.0, 20.0)],
+                                               [(0.3, 0.4), (-3.0, 0.1)]]))
+
+    def test_one_template(self):
+        system = TemplateSystem(K01, (TemplateFunction(Rectangle(0.0, 1.0, 0.0, 1.0)),))
+        rng = np.random.default_rng(4)
+        self.assert_same_bytes(_diagrams_from(
+            [[(rng.uniform(0, 1), rng.uniform(0.05, 1)) for _ in range(k)] for k in range(9)]),
+            system)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.lists(st.tuples(st.floats(-2, 3), st.floats(0.01, 4)), max_size=7),
+                    min_size=1, max_size=12),
+           st.floats(0.05, 2), st.floats(0.05, 1), st.floats(0.05, 1))
+    def test_property_random_batches(self, rows, cell, hx, hy):
+        system = grid_system(Rectangle(-1, 2, 0, 3), cell, StepKernel.from_half_widths(hx, hy))
+        self.assert_same_bytes(_diagrams_from(rows), system)
+
+
 class TestTemplateGrid:
     def test_paper_like_grid_count(self):
         assert len(template_grid(Rectangle(0, 1.6, 0, 2.8), 0.4)) == 28
@@ -204,6 +254,15 @@ class TestEnclosingBounds:
         pts = to_birth_persistence(diagrams[0].points)
         assert bounds.x_min <= pts[:, 0].min() and bounds.x_max >= pts[:, 0].max()
         assert bounds.y_min <= pts[:, 1].min() and bounds.y_max >= pts[:, 1].max()
+
+    def test_equals_the_bounds_of_every_point(self):
+        rng = np.random.default_rng(17)
+        batches = [_diagrams_from([[(rng.normal(), rng.exponential()) for _ in range(k)]
+                                   for k in rng.integers(0, 4, size=5)]) for _ in range(6)]
+        pts = np.vstack([to_birth_persistence(d.points) for batch in batches for d in batch])
+        bounds = enclosing_bounds(batches, min_extent=0.0)
+        assert (bounds.x_min, bounds.x_max) == (pts[:, 0].min(), pts[:, 0].max())
+        assert (bounds.y_min, bounds.y_max) == (pts[:, 1].min(), pts[:, 1].max())
 
     def test_no_points_gives_minimal_box(self):
         bounds = enclosing_bounds([[PersistenceDiagram()]], min_extent=0.4)

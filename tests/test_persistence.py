@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from empers.config import DEFAULT_SHAPES
+from empers import persistence
 from empers.measure import PersistenceDiagram
 from empers.persistence import (
     CAP,
@@ -324,3 +325,51 @@ class TestImageSublevelH0Order:
         st.lists(st.integers(0, 3), min_size=w, max_size=w), min_size=1, max_size=7)))
     def test_property_integer_images(self, policy, rows):
         assert_same_ordered_image_diagram(np.array(rows, dtype=float), policy)
+
+
+SIZE_CACHES = (persistence._edges, persistence._triangles, persistence._grid_edges)
+
+
+class TestSizeCaches:
+    """The tables built once per input size are read-only, bounded, and carry
+    nothing from one call into the next."""
+
+    def test_cached_arrays_are_read_only(self):
+        for arrays in (persistence._edges(5), persistence._triangles(5),
+                       persistence._grid_edges((3, 4))):
+            for a in arrays:
+                assert a.size and not a.flags.writeable
+                with pytest.raises(ValueError):
+                    a.flat[0] = 0
+
+    def test_caches_are_bounded(self):
+        assert all(cache.cache_info().maxsize is not None for cache in SIZE_CACHES)
+
+    def test_rips_diagrams_do_not_depend_on_earlier_calls(self):
+        rng = np.random.default_rng(41)
+        target = euclidean_dm(rng.normal(size=(9, 2)))
+        options = [FiltrationOptions(max_dim=1, max_radius=r, essential_policy=CAP)
+                   for r in (math.inf, 0.8, 1.5)]
+        for cache in SIZE_CACHES:
+            cache.cache_clear()
+        first = [assert_same_ordered_diagrams(target, opts) for opts in options]
+        for n in (3, 12, 9, 5, 20, 2):
+            for radius in (math.inf, 0.3, 1.1):
+                vr_persistence(euclidean_dm(rng.normal(size=(n, 2))),
+                               FiltrationOptions(max_radius=radius))
+        for opts, before in zip(options, first):
+            after = vr_persistence(target, opts)
+            for deg in before:
+                assert np.array_equal(after[deg].points, before[deg].points)
+
+    def test_image_diagrams_do_not_depend_on_earlier_calls(self):
+        rng = np.random.default_rng(43)
+        target = rng.integers(0, 6, size=(6, 7)).astype(float)
+        for cache in SIZE_CACHES:
+            cache.cache_clear()
+        before = image_sublevel_h0(GrayImage(target), FiltrationOptions())
+        for shape in ((7, 6), (1, 42), (6, 7), (3, 3)):
+            image_sublevel_h0(GrayImage(rng.normal(size=shape)), FiltrationOptions())
+        after = image_sublevel_h0(GrayImage(target), FiltrationOptions())
+        assert np.array_equal(after.points, before.points)
+        assert_same_ordered_image_diagram(target, CAP)

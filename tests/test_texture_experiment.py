@@ -47,5 +47,4 @@ def test_feature_row_matches_oracle_diagrams():
     patches = sample_patches(images[idx], TINY["patch_size"], TINY["patches"],
                              derive_seed(patch_seed, "patches", idx))
     diagrams = [PersistenceDiagram(image_h0_naive_unionfind(p.values)) for p in patches]
-    assert np.allclose(matrix[idx], feature_vector(diagrams, system).values,
-                       rtol=1e-12, atol=1e-12)
+    assert np.array_equal(matrix[idx], feature_vector(diagrams, system).values)
